@@ -39,6 +39,9 @@ fn allocation_count() -> u64 {
 /// streams with its own chunk-size jitter).
 const DISTINCT_RECORDINGS: u64 = 4;
 
+/// Concurrent-session cap of the soaked service.
+const SOAK_MAX_SESSIONS: usize = 8;
+
 fn soak_phones() -> usize {
     std::env::var("HYPEREAR_SOAK_PHONES")
         .ok()
@@ -102,7 +105,10 @@ fn soak(threads: usize, recs: &[Recording], refs: &[SessionOutcome], phones: usi
         // Deliberately tighter than the offered load: hundreds of
         // phones queue through Busy admission rather than growing
         // memory, and a small ring forces real shedding under burst.
-        max_sessions: 8 * threads,
+        // Independent of `threads`: the contract compares the busy/shed
+        // schedule across pool widths, so the service it runs against
+        // must be the same at every width.
+        max_sessions: SOAK_MAX_SESSIONS,
         ring_capacity: 4_096,
         max_samples: recs.iter().map(|r| r.audio.left.len()).max().unwrap(),
         max_imu_samples: recs.iter().map(|r| r.imu.accel.len()).max().unwrap(),

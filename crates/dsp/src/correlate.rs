@@ -6,11 +6,9 @@
 //! signal" (Section IV-A). Correlation is computed in the frequency domain
 //! so a full one-second stereo recording is cheap to scan.
 
-use crate::complex::{conj_mul_in_place, conj_mul_planes};
+use crate::complex::conj_mul_in_place;
 use crate::fft::try_next_pow2;
-use crate::plan::{
-    shared_real_plan, shared_real_plan32, DspScratch, PlanCache, RealFft32Plan, RealFftPlan,
-};
+use crate::plan::{shared_real_plan, DspScratch, PlanCache, RealFftPlan};
 use crate::{Complex, DspError};
 use std::sync::Arc;
 
@@ -420,18 +418,13 @@ impl OverlapSave {
 ///
 /// The working set is one `block_len` buffer, independent of how many
 /// samples have been pushed.
-///
-/// The sample type parameter defaults to `f64` (the conformance path);
-/// the reduced-precision engines ([`StreamingMatchedFilter32`],
-/// `ZeroPhaseFir32`) hand out `ChunkFeed<f32>` feeds with identical
-/// semantics.
 #[derive(Debug, Clone)]
-pub struct ChunkFeed<T = f64> {
+pub struct ChunkFeed {
     /// The sliding window of the implicitly padded input stream
     /// (`lead` zeros, then every pushed sample, then flush-time zeros):
     /// always equal to `padded[blocks_done * step ..]`, capacity
     /// `block_len`.
-    pub(crate) buf: Vec<T>,
+    pub(crate) buf: Vec<f64>,
     pub(crate) lead: usize,
     pub(crate) block_len: usize,
     pub(crate) template_len: usize,
@@ -440,10 +433,10 @@ pub struct ChunkFeed<T = f64> {
     pub(crate) finished: bool,
 }
 
-impl<T: Copy + Default> ChunkFeed<T> {
+impl ChunkFeed {
     pub(crate) fn new(lead: usize, block_len: usize, template_len: usize) -> Self {
         let mut buf = Vec::with_capacity(block_len);
-        buf.resize(lead, T::default());
+        buf.resize(lead, 0.0);
         ChunkFeed {
             buf,
             lead,
@@ -478,7 +471,7 @@ impl<T: Copy + Default> ChunkFeed<T> {
     /// the block buffer's capacity (no allocation).
     pub fn reset(&mut self) {
         self.buf.clear();
-        self.buf.resize(self.lead, T::default());
+        self.buf.resize(self.lead, 0.0);
         self.pushed = 0;
         self.emitted = 0;
         self.finished = false;
@@ -487,7 +480,7 @@ impl<T: Copy + Default> ChunkFeed<T> {
     /// Bytes reserved by the feed's block buffer.
     #[must_use]
     pub fn capacity_bytes(&self) -> usize {
-        self.buf.capacity() * std::mem::size_of::<T>()
+        self.buf.capacity() * std::mem::size_of::<f64>()
     }
 }
 
@@ -588,190 +581,6 @@ impl OverlapSave {
     }
 }
 
-/// Single-precision overlap-save engine over split re/im planes — the
-/// f32 analogue of [`OverlapSave`], built on [`RealFft32Plan`] and the
-/// [`conj_mul_planes`] kernel. Same block geometry and zero-padding
-/// semantics; all samples, spectra and outputs are `f32`.
-#[derive(Debug, Clone)]
-pub(crate) struct OverlapSave32 {
-    plan: Arc<RealFft32Plan>,
-    /// Template half-spectrum planes at `block_len` (not conjugated).
-    template_re: Vec<f32>,
-    template_im: Vec<f32>,
-    template_len: usize,
-}
-
-impl OverlapSave32 {
-    /// Builds the engine for `template` with FFT blocks of `block_len`
-    /// (power of two, at least `template.len()`).
-    pub(crate) fn new(template: &[f32], block_len: usize) -> Result<Self, DspError> {
-        if template.is_empty() {
-            return Err(DspError::EmptyInput {
-                what: "overlap-save template",
-            });
-        }
-        if block_len < template.len() {
-            return Err(DspError::invalid(
-                "block_len",
-                format!(
-                    "block ({block_len}) shorter than template ({})",
-                    template.len()
-                ),
-            ));
-        }
-        let plan = shared_real_plan32(block_len)?;
-        let mut template_re = Vec::with_capacity(plan.num_bins());
-        let mut template_im = Vec::with_capacity(plan.num_bins());
-        plan.rfft_half_into(template, &mut template_re, &mut template_im)?;
-        Ok(OverlapSave32 {
-            plan,
-            template_re,
-            template_im,
-            template_len: template.len(),
-        })
-    }
-
-    pub(crate) fn block_len(&self) -> usize {
-        self.plan.len()
-    }
-
-    /// Valid (wraparound-free) output lags per block.
-    pub(crate) fn step(&self) -> usize {
-        self.block_len() - self.template_len + 1
-    }
-
-    /// Transforms one assembled block in `scratch.r32`, leaving the
-    /// block's correlation lags back in `scratch.r32`.
-    fn transform_block(&self, scratch: &mut DspScratch) -> Result<(), DspError> {
-        let DspScratch {
-            f1_re, f1_im, r32, ..
-        } = scratch;
-        self.plan.rfft_half_into(r32, f1_re, f1_im)?;
-        conj_mul_planes(f1_re, f1_im, &self.template_re, &self.template_im);
-        self.plan.irfft_half_into(f1_re, f1_im, r32)
-    }
-
-    /// Writes `out[k] = Σ_n signal[n + k - lead] · template[n]` for
-    /// `k` in `0..out_len`, treating the signal as zero outside its
-    /// bounds (f32 analogue of [`OverlapSave::run`]).
-    pub(crate) fn run(
-        &self,
-        signal: &[f32],
-        lead: usize,
-        out_len: usize,
-        scratch: &mut DspScratch,
-        out: &mut Vec<f32>,
-    ) -> Result<(), DspError> {
-        out.clear();
-        out.reserve(out_len);
-        let block = self.block_len();
-        let step = self.step();
-        let mut pos = 0;
-        while pos < out_len {
-            scratch.r32.clear();
-            scratch.r32.extend((pos..pos + block).map(|j| {
-                j.checked_sub(lead)
-                    .and_then(|i| signal.get(i))
-                    .copied()
-                    .unwrap_or(0.0)
-            }));
-            self.transform_block(scratch)?;
-            let take = step.min(out_len - pos);
-            out.extend_from_slice(&scratch.r32[..take]);
-            pos += step;
-        }
-        Ok(())
-    }
-
-    fn check_feed(&self, feed: &ChunkFeed<f32>, expected_lead: usize) -> Result<(), DspError> {
-        if feed.block_len != self.block_len()
-            || feed.template_len != self.template_len
-            || feed.lead != expected_lead
-        {
-            return Err(DspError::invalid(
-                "feed",
-                "chunk feed was created for a different engine",
-            ));
-        }
-        if feed.finished {
-            return Err(DspError::invalid(
-                "feed",
-                "chunk feed already finished; call reset() before reuse",
-            ));
-        }
-        Ok(())
-    }
-
-    /// Transforms the (full) block in `feed.buf`, leaving the block's
-    /// correlation lags in `scratch.r32` and sliding the buffer forward
-    /// by one step.
-    fn feed_transform(
-        &self,
-        feed: &mut ChunkFeed<f32>,
-        scratch: &mut DspScratch,
-    ) -> Result<(), DspError> {
-        debug_assert_eq!(feed.buf.len(), self.block_len());
-        scratch.r32.clear();
-        scratch.r32.extend_from_slice(&feed.buf);
-        self.transform_block(scratch)?;
-        let step = self.step();
-        feed.buf.copy_within(step.., 0);
-        feed.buf.truncate(self.block_len() - step);
-        Ok(())
-    }
-
-    /// Appends `chunk` to the feed, emitting the lags of every FFT block
-    /// that fills (f32 analogue of [`OverlapSave::feed_push`]).
-    pub(crate) fn feed_push(
-        &self,
-        feed: &mut ChunkFeed<f32>,
-        expected_lead: usize,
-        chunk: &[f32],
-        scratch: &mut DspScratch,
-        out: &mut Vec<f32>,
-    ) -> Result<(), DspError> {
-        self.check_feed(feed, expected_lead)?;
-        let block = self.block_len();
-        let step = self.step();
-        let mut rest = chunk;
-        while !rest.is_empty() {
-            let take = (block - feed.buf.len()).min(rest.len());
-            feed.buf.extend_from_slice(&rest[..take]);
-            rest = &rest[take..];
-            if feed.buf.len() == block {
-                self.feed_transform(feed, scratch)?;
-                out.extend_from_slice(&scratch.r32[..step]);
-                feed.emitted += step;
-            }
-        }
-        feed.pushed += chunk.len();
-        debug_assert!(feed.emitted <= feed.pushed);
-        Ok(())
-    }
-
-    /// Flushes the feed, emitting every remaining lag up to the `pushed`
-    /// total (f32 analogue of [`OverlapSave::feed_finish`]).
-    pub(crate) fn feed_finish(
-        &self,
-        feed: &mut ChunkFeed<f32>,
-        expected_lead: usize,
-        scratch: &mut DspScratch,
-        out: &mut Vec<f32>,
-    ) -> Result<(), DspError> {
-        self.check_feed(feed, expected_lead)?;
-        let total = feed.pushed;
-        while feed.emitted < total {
-            feed.buf.resize(self.block_len(), 0.0);
-            self.feed_transform(feed, scratch)?;
-            let take = self.step().min(total - feed.emitted);
-            out.extend_from_slice(&scratch.r32[..take]);
-            feed.emitted += take;
-        }
-        feed.finished = true;
-        Ok(())
-    }
-}
-
 /// Folds a zero-phase FIR prefilter into a correlation template:
 /// `G[u] = Σⱼ h[j]·t[u − (T−1) + j]`, the full cross-correlation of the
 /// template with the taps, accumulated in f64. Correlating a raw signal
@@ -796,291 +605,6 @@ fn fold_zero_phase_taps(template: &[f64], taps: &[f64]) -> Vec<f64> {
             acc
         })
         .collect()
-}
-
-/// The single-precision streaming matched filter behind the opt-in f32
-/// pipeline (`Precision::F32` in the core crate).
-///
-/// API and block geometry mirror [`StreamingMatchedFilter`]; samples,
-/// spectra and outputs are `f32` stored in split re/im planes, which is
-/// what lets the spectral kernels run 8-wide. There is **no bit-identity
-/// contract** on this path — accuracy against the f64 reference is
-/// pinned statistically by the precision property tests (clean-session
-/// TDoA error within the one-sample floor), and f64 remains the
-/// conformance reference (DESIGN.md §11).
-#[derive(Debug, Clone)]
-pub struct StreamingMatchedFilter32 {
-    core: OverlapSave32,
-    /// `Σ x²` accumulated in f64 so normalization quality does not
-    /// depend on template length.
-    template_energy: f64,
-    /// Lag-origin offset into the engine's template: nonzero only for
-    /// folded-prefilter templates, whose first `lead` entries reach
-    /// *before* the nominal template start (the zero-phase group delay).
-    lead: usize,
-}
-
-impl StreamingMatchedFilter32 {
-    /// Creates a filter with the default block policy
-    /// (`next_pow2(4 × template.len())`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DspError::EmptyInput`] for an empty template and
-    /// [`DspError::InvalidParameter`] for an all-zero template.
-    pub fn new(template: &[f32]) -> Result<Self, DspError> {
-        let block = try_next_pow2(template.len().saturating_mul(4))?;
-        Self::with_block_len(template, block)
-    }
-
-    /// Creates a filter with an explicit FFT block length (power of two,
-    /// at least `template.len()`).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`StreamingMatchedFilter32::new`], plus
-    /// [`DspError::InvalidParameter`] for an invalid `block_len`.
-    pub fn with_block_len(template: &[f32], block_len: usize) -> Result<Self, DspError> {
-        let energy: f64 = template.iter().map(|&x| x as f64 * x as f64).sum();
-        if !template.is_empty() && energy == 0.0 {
-            return Err(DspError::invalid("template", "template has zero energy"));
-        }
-        Ok(StreamingMatchedFilter32 {
-            core: OverlapSave32::new(template, block_len)?,
-            template_energy: energy,
-            lead: 0,
-        })
-    }
-
-    /// Creates a filter with a zero-phase FIR prefilter **folded into
-    /// the template**: correlating a raw signal through the returned
-    /// filter produces the same lags as band-passing the signal with
-    /// `taps` (zero-phase, group-delay compensated) and then correlating
-    /// with `template` — one overlap-save pass instead of two.
-    ///
-    /// The identity is exact for linear filtering under the
-    /// zero-extension boundary semantics both engines use: with
-    /// `delay = (taps.len() − 1) / 2`,
-    /// `Σₙ bp(x)[n+k]·t[n] = Σᵤ x[u+k−delay]·G[u]` where
-    /// `G[u] = Σⱼ h[j]·t[u − (T−1) + j]` is the full cross-correlation
-    /// of the template with the taps. The fold is accumulated in f64 and
-    /// rounded once; normalization still divides by the **original**
-    /// template's energy so peak amplitudes match the unfolded
-    /// two-pass pipeline.
-    ///
-    /// One boundary caveat: the two-pass pipeline truncates the
-    /// prefilter's ringing tail at the signal end, the folded engine
-    /// keeps it, so the final `template.len() − 1` lags — the
-    /// partial-overlap region where a matched filter's output is not
-    /// meaningful anyway — may differ between the two formulations.
-    /// Every lag `k < signal.len() − template.len() + 1` is identical.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`StreamingMatchedFilter32::new`], plus
-    /// [`DspError::EmptyInput`] for an empty `taps` slice.
-    pub fn with_zero_phase_prefilter(template: &[f32], taps: &[f64]) -> Result<Self, DspError> {
-        if template.is_empty() {
-            return Err(DspError::EmptyInput {
-                what: "matched-filter template",
-            });
-        }
-        if taps.is_empty() {
-            return Err(DspError::EmptyInput {
-                what: "prefilter taps",
-            });
-        }
-        let energy: f64 = template.iter().map(|&x| x as f64 * x as f64).sum();
-        if energy == 0.0 {
-            return Err(DspError::invalid("template", "template has zero energy"));
-        }
-        let delay = (taps.len() - 1) / 2;
-        let template_f64: Vec<f64> = template.iter().map(|&x| f64::from(x)).collect();
-        let folded: Vec<f32> = fold_zero_phase_taps(&template_f64, taps)
-            .into_iter()
-            .map(|v| v as f32)
-            .collect();
-        let block = try_next_pow2(folded.len().saturating_mul(4))?;
-        Ok(StreamingMatchedFilter32 {
-            core: OverlapSave32::new(&folded, block)?,
-            template_energy: energy,
-            lead: delay,
-        })
-    }
-
-    /// The template length in samples.
-    #[must_use]
-    pub fn template_len(&self) -> usize {
-        self.core.template_len
-    }
-
-    /// The FFT block length — the peak transform size of every call.
-    #[must_use]
-    pub fn block_len(&self) -> usize {
-        self.core.block_len()
-    }
-
-    /// Valid correlation lags produced per block.
-    #[must_use]
-    pub fn step(&self) -> usize {
-        self.core.step()
-    }
-
-    /// The template energy `Σ x²` (accumulated in f64).
-    #[must_use]
-    pub fn template_energy(&self) -> f64 {
-        self.template_energy
-    }
-
-    /// Blocked raw correlation; same output convention as [`xcorr`].
-    /// Steady-state calls at warm sizes do not allocate.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`xcorr`].
-    pub fn correlate_into(
-        &self,
-        signal: &[f32],
-        scratch: &mut DspScratch,
-        out: &mut Vec<f32>,
-    ) -> Result<(), DspError> {
-        if signal.is_empty() {
-            return Err(DspError::EmptyInput {
-                what: "xcorr signal",
-            });
-        }
-        if self.template_len() > signal.len() {
-            return Err(DspError::invalid(
-                "template",
-                format!(
-                    "template ({}) longer than signal ({})",
-                    self.template_len(),
-                    signal.len()
-                ),
-            ));
-        }
-        self.core.run(signal, self.lead, signal.len(), scratch, out)
-    }
-
-    /// Blocked template-energy-normalized correlation.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`xcorr`].
-    pub fn correlate_normalized_into(
-        &self,
-        signal: &[f32],
-        scratch: &mut DspScratch,
-        out: &mut Vec<f32>,
-    ) -> Result<(), DspError> {
-        self.correlate_into(signal, scratch, out)?;
-        let k = (1.0 / self.template_energy) as f32;
-        for v in out.iter_mut() {
-            *v *= k;
-        }
-        Ok(())
-    }
-
-    /// Creates an online ingestion feed for this filter (see
-    /// [`ChunkFeed`]).
-    #[must_use]
-    pub fn chunk_feed(&self) -> ChunkFeed<f32> {
-        ChunkFeed::new(self.lead, self.block_len(), self.template_len())
-    }
-
-    /// Pushes `chunk` into `feed`, appending every raw correlation lag
-    /// whose FFT block completed to `out`. The flushed stream is
-    /// bit-identical to [`StreamingMatchedFilter32::correlate_into`]
-    /// over the concatenated chunks, independent of chunking.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DspError::InvalidParameter`] if `feed` was created by a
-    /// different engine or has already been finished.
-    pub fn push_chunk_into(
-        &self,
-        feed: &mut ChunkFeed<f32>,
-        chunk: &[f32],
-        scratch: &mut DspScratch,
-        out: &mut Vec<f32>,
-    ) -> Result<(), DspError> {
-        self.core.feed_push(feed, self.lead, chunk, scratch, out)
-    }
-
-    /// [`StreamingMatchedFilter32::push_chunk_into`] with the emitted
-    /// lags template-energy normalized.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`StreamingMatchedFilter32::push_chunk_into`].
-    pub fn push_chunk_normalized_into(
-        &self,
-        feed: &mut ChunkFeed<f32>,
-        chunk: &[f32],
-        scratch: &mut DspScratch,
-        out: &mut Vec<f32>,
-    ) -> Result<(), DspError> {
-        let start = out.len();
-        self.push_chunk_into(feed, chunk, scratch, out)?;
-        let k = (1.0 / self.template_energy) as f32;
-        for v in &mut out[start..] {
-            *v *= k;
-        }
-        Ok(())
-    }
-
-    /// Flushes `feed`, appending the remaining raw lags to `out` (one
-    /// lag per pushed sample).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as
-    /// [`StreamingMatchedFilter::finish_chunks_into`].
-    pub fn finish_chunks_into(
-        &self,
-        feed: &mut ChunkFeed<f32>,
-        scratch: &mut DspScratch,
-        out: &mut Vec<f32>,
-    ) -> Result<(), DspError> {
-        if !feed.finished && feed.pushed == 0 {
-            return Err(DspError::EmptyInput {
-                what: "xcorr signal",
-            });
-        }
-        if !feed.finished && feed.pushed < self.template_len() {
-            return Err(DspError::invalid(
-                "template",
-                format!(
-                    "template ({}) longer than signal ({})",
-                    self.template_len(),
-                    feed.pushed
-                ),
-            ));
-        }
-        self.core.feed_finish(feed, self.lead, scratch, out)
-    }
-
-    /// [`StreamingMatchedFilter32::finish_chunks_into`] with the emitted
-    /// lags template-energy normalized.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as
-    /// [`StreamingMatchedFilter32::finish_chunks_into`].
-    pub fn finish_chunks_normalized_into(
-        &self,
-        feed: &mut ChunkFeed<f32>,
-        scratch: &mut DspScratch,
-        out: &mut Vec<f32>,
-    ) -> Result<(), DspError> {
-        let start = out.len();
-        self.finish_chunks_into(feed, scratch, out)?;
-        let k = (1.0 / self.template_energy) as f32;
-        for v in &mut out[start..] {
-            *v *= k;
-        }
-        Ok(())
-    }
 }
 
 /// A matched filter that correlates in fixed-size overlap-save blocks.
@@ -1147,14 +671,14 @@ impl StreamingMatchedFilter {
     }
 
     /// Creates a filter with a zero-phase FIR prefilter **folded into
-    /// the template** — the f64 counterpart of
-    /// [`StreamingMatchedFilter32::with_zero_phase_prefilter`], with the
-    /// identical algebra and boundary caveat (the final
-    /// `template.len() − 1` partial-overlap lags may differ from the
-    /// two-pass pipeline; every full-overlap lag is exact up to
-    /// floating-point summation order). The fold runs entirely in f64,
-    /// and normalization divides by the **original** template's energy
-    /// so peak amplitudes match the unfolded two-pass pipeline.
+    /// the template**: `corr(bp(x), t) = corr(x, bp⋆t)`, so one
+    /// overlap-save pass over the raw signal replaces band-pass then
+    /// correlate. The final `template.len() − 1` partial-overlap lags
+    /// may differ from the two-pass pipeline (which truncates the
+    /// prefilter's ringing at the signal end); every full-overlap lag is
+    /// exact up to floating-point summation order. Normalization divides
+    /// by the **original** template's energy so peak amplitudes match
+    /// the unfolded two-pass pipeline.
     ///
     /// # Errors
     ///
@@ -1944,498 +1468,6 @@ impl StreamingMatchedFilterBank {
     }
 }
 
-/// One f32 lane: split-plane template half-spectrum plus normalization
-/// energy (see [`BankLane`]).
-#[derive(Debug, Clone)]
-struct BankLane32 {
-    spec_re: Arc<Vec<f32>>,
-    spec_im: Arc<Vec<f32>>,
-    energy: f64,
-}
-
-/// The single-precision twin of [`StreamingMatchedFilterBank`], built on
-/// [`RealFft32Plan`]'s split re/im planes so the spectral kernels stay
-/// 8-wide.
-///
-/// Same shared-forward-transform economics and per-lane semantics; like
-/// the rest of the f32 pipeline there is **no bit-identity contract**
-/// against the f64 reference (DESIGN.md §11) — but each lane *is*
-/// bit-identical to an independent [`StreamingMatchedFilter32`] at the
-/// bank geometry, by the same copied-spectrum argument as the f64 bank.
-///
-/// The fan-out stages each lane's conjugate product in the second
-/// scratch plane pair (`DspScratch::f2_re`/`f2_im`), preserving the
-/// shared input spectrum in `f1_re`/`f1_im` across lanes.
-#[derive(Debug, Clone)]
-pub struct StreamingMatchedFilterBank32 {
-    plan: Arc<RealFft32Plan>,
-    lanes: Vec<BankLane32>,
-    template_len: usize,
-    lead: usize,
-    template_ffts: usize,
-}
-
-impl StreamingMatchedFilterBank32 {
-    /// Creates a bank with the default block policy
-    /// (`next_pow2(4 × longest template)`).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`StreamingMatchedFilterBank::new`].
-    pub fn new(templates: &[&[f32]]) -> Result<Self, DspError> {
-        let longest = templates.iter().map(|t| t.len()).max().unwrap_or(0);
-        let block = try_next_pow2(longest.saturating_mul(4))?;
-        Self::with_block_len(templates, block)
-    }
-
-    /// Creates a bank with an explicit FFT block length.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as
-    /// [`StreamingMatchedFilterBank::with_block_len`].
-    pub fn with_block_len(templates: &[&[f32]], block_len: usize) -> Result<Self, DspError> {
-        if templates.is_empty() {
-            return Err(DspError::EmptyInput {
-                what: "template bank",
-            });
-        }
-        let mut energies = Vec::with_capacity(templates.len());
-        for template in templates {
-            if template.is_empty() {
-                return Err(DspError::EmptyInput {
-                    what: "matched-filter template",
-                });
-            }
-            let energy: f64 = template.iter().map(|&x| f64::from(x) * f64::from(x)).sum();
-            if energy == 0.0 {
-                return Err(DspError::invalid("template", "template has zero energy"));
-            }
-            energies.push(energy);
-        }
-        Self::build(templates, &energies, block_len, 0)
-    }
-
-    /// Creates a bank with a zero-phase FIR prefilter folded into each
-    /// template (see
-    /// [`StreamingMatchedFilterBank::with_zero_phase_prefilters`]; the
-    /// fold is accumulated in f64 and rounded once per tap, exactly as
-    /// [`StreamingMatchedFilter32::with_zero_phase_prefilter`] does).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as
-    /// [`StreamingMatchedFilterBank::with_zero_phase_prefilters`].
-    pub fn with_zero_phase_prefilters(entries: &[(&[f32], &[f64])]) -> Result<Self, DspError> {
-        if entries.is_empty() {
-            return Err(DspError::EmptyInput {
-                what: "template bank",
-            });
-        }
-        let mut delay = None;
-        let mut energies = Vec::with_capacity(entries.len());
-        let mut folded = Vec::with_capacity(entries.len());
-        for (template, taps) in entries {
-            if template.is_empty() {
-                return Err(DspError::EmptyInput {
-                    what: "matched-filter template",
-                });
-            }
-            if taps.is_empty() {
-                return Err(DspError::EmptyInput {
-                    what: "prefilter taps",
-                });
-            }
-            let d = (taps.len() - 1) / 2;
-            if *delay.get_or_insert(d) != d {
-                return Err(DspError::invalid(
-                    "taps",
-                    "all prefilters in a bank must share one group delay",
-                ));
-            }
-            let energy: f64 = template.iter().map(|&x| f64::from(x) * f64::from(x)).sum();
-            if energy == 0.0 {
-                return Err(DspError::invalid("template", "template has zero energy"));
-            }
-            energies.push(energy);
-            let template_f64: Vec<f64> = template.iter().map(|&x| f64::from(x)).collect();
-            folded.push(
-                fold_zero_phase_taps(&template_f64, taps)
-                    .into_iter()
-                    .map(|v| v as f32)
-                    .collect::<Vec<f32>>(),
-            );
-        }
-        let longest = folded.iter().map(Vec::len).max().unwrap_or(0);
-        let block = try_next_pow2(longest.saturating_mul(4))?;
-        let refs: Vec<&[f32]> = folded.iter().map(Vec::as_slice).collect();
-        Self::build(&refs, &energies, block, delay.unwrap_or(0))
-    }
-
-    fn build(
-        templates: &[&[f32]],
-        energies: &[f64],
-        block_len: usize,
-        lead: usize,
-    ) -> Result<Self, DspError> {
-        let template_len = templates.iter().map(|t| t.len()).max().unwrap_or(0);
-        if block_len < template_len {
-            return Err(DspError::invalid(
-                "block_len",
-                format!("block ({block_len}) shorter than template ({template_len})"),
-            ));
-        }
-        let plan = shared_real_plan32(block_len)?;
-        let mut lanes = Vec::with_capacity(templates.len());
-        let mut template_ffts = 0;
-        for (template, &energy) in templates.iter().zip(energies) {
-            let mut spec_re = Vec::with_capacity(plan.num_bins());
-            let mut spec_im = Vec::with_capacity(plan.num_bins());
-            plan.rfft_half_into(template, &mut spec_re, &mut spec_im)?;
-            template_ffts += 1;
-            lanes.push(BankLane32 {
-                spec_re: Arc::new(spec_re),
-                spec_im: Arc::new(spec_im),
-                energy,
-            });
-        }
-        Ok(StreamingMatchedFilterBank32 {
-            plan,
-            lanes,
-            template_len,
-            lead,
-            template_ffts,
-        })
-    }
-
-    /// Number of templates (correlation lanes).
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.lanes.len()
-    }
-
-    /// Whether the bank holds no templates (never true once constructed).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.lanes.is_empty()
-    }
-
-    /// The shared (padded) template length in samples.
-    #[must_use]
-    pub fn template_len(&self) -> usize {
-        self.template_len
-    }
-
-    /// The FFT block length.
-    #[must_use]
-    pub fn block_len(&self) -> usize {
-        self.plan.len()
-    }
-
-    /// Valid correlation lags produced per block.
-    #[must_use]
-    pub fn step(&self) -> usize {
-        self.block_len() - self.template_len + 1
-    }
-
-    /// The lag-origin offset (folded prefilter group delay).
-    #[must_use]
-    pub fn lead(&self) -> usize {
-        self.lead
-    }
-
-    /// Template FFTs run over this bank's lifetime (one per template;
-    /// clones share the spectra).
-    #[must_use]
-    pub fn template_fft_count(&self) -> usize {
-        self.template_ffts
-    }
-
-    fn check_lanes(&self, lanes: &[Vec<f32>]) -> Result<(), DspError> {
-        if lanes.len() != self.lanes.len() {
-            return Err(DspError::invalid(
-                "lanes",
-                format!(
-                    "bank holds {} templates but {} output lanes were provided",
-                    self.lanes.len(),
-                    lanes.len()
-                ),
-            ));
-        }
-        Ok(())
-    }
-
-    fn check_feed(&self, feed: &ChunkFeed<f32>) -> Result<(), DspError> {
-        if feed.block_len != self.block_len()
-            || feed.template_len != self.template_len
-            || feed.lead != self.lead
-        {
-            return Err(DspError::invalid(
-                "feed",
-                "chunk feed was created for a different engine",
-            ));
-        }
-        if feed.finished {
-            return Err(DspError::invalid(
-                "feed",
-                "chunk feed already finished; call reset() before reuse",
-            ));
-        }
-        Ok(())
-    }
-
-    /// Fans the shared input spectrum (`f1_re`/`f1_im`) out across every
-    /// lane via the second plane pair.
-    fn fan_out(
-        &self,
-        scratch: &mut DspScratch,
-        take: usize,
-        lanes: &mut [Vec<f32>],
-    ) -> Result<(), DspError> {
-        for (lane, out) in self.lanes.iter().zip(lanes.iter_mut()) {
-            scratch.f2_re.clear();
-            scratch.f2_re.extend_from_slice(&scratch.f1_re);
-            scratch.f2_im.clear();
-            scratch.f2_im.extend_from_slice(&scratch.f1_im);
-            let DspScratch {
-                f2_re, f2_im, r32, ..
-            } = &mut *scratch;
-            conj_mul_planes(f2_re, f2_im, &lane.spec_re, &lane.spec_im);
-            self.plan.irfft_half_into(f2_re, f2_im, r32)?;
-            out.extend_from_slice(&r32[..take]);
-        }
-        Ok(())
-    }
-
-    /// One-shot banked correlation (f32 twin of
-    /// [`StreamingMatchedFilterBank::correlate_into`]).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as
-    /// [`StreamingMatchedFilterBank::correlate_into`].
-    pub fn correlate_into(
-        &self,
-        signal: &[f32],
-        scratch: &mut DspScratch,
-        lanes: &mut [Vec<f32>],
-    ) -> Result<(), DspError> {
-        self.check_lanes(lanes)?;
-        if signal.is_empty() {
-            return Err(DspError::EmptyInput {
-                what: "xcorr signal",
-            });
-        }
-        if self.template_len > signal.len() {
-            return Err(DspError::invalid(
-                "template",
-                format!(
-                    "template ({}) longer than signal ({})",
-                    self.template_len,
-                    signal.len()
-                ),
-            ));
-        }
-        let out_len = signal.len();
-        for lane in lanes.iter_mut() {
-            lane.clear();
-            lane.reserve(out_len);
-        }
-        let block = self.block_len();
-        let step = self.step();
-        let mut pos = 0;
-        while pos < out_len {
-            scratch.r32.clear();
-            scratch.r32.extend((pos..pos + block).map(|j| {
-                j.checked_sub(self.lead)
-                    .and_then(|i| signal.get(i))
-                    .copied()
-                    .unwrap_or(0.0)
-            }));
-            let DspScratch {
-                f1_re, f1_im, r32, ..
-            } = &mut *scratch;
-            self.plan.rfft_half_into(r32, f1_re, f1_im)?;
-            let take = step.min(out_len - pos);
-            self.fan_out(scratch, take, lanes)?;
-            pos += step;
-        }
-        Ok(())
-    }
-
-    /// [`StreamingMatchedFilterBank32::correlate_into`] with each lane
-    /// normalized by its own template's energy.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as
-    /// [`StreamingMatchedFilterBank32::correlate_into`].
-    pub fn correlate_normalized_into(
-        &self,
-        signal: &[f32],
-        scratch: &mut DspScratch,
-        lanes: &mut [Vec<f32>],
-    ) -> Result<(), DspError> {
-        self.correlate_into(signal, scratch, lanes)?;
-        for (lane, out) in self.lanes.iter().zip(lanes.iter_mut()) {
-            let k = (1.0 / lane.energy) as f32;
-            for v in out.iter_mut() {
-                *v *= k;
-            }
-        }
-        Ok(())
-    }
-
-    /// Creates an online ingestion feed for this bank.
-    #[must_use]
-    pub fn chunk_feed(&self) -> ChunkFeed<f32> {
-        ChunkFeed::new(self.lead, self.block_len(), self.template_len)
-    }
-
-    /// Pushes `chunk` into `feed`, appending completed-block lags to all
-    /// K lanes (f32 twin of
-    /// [`StreamingMatchedFilterBank::push_chunk_into`]).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as
-    /// [`StreamingMatchedFilterBank::push_chunk_into`].
-    pub fn push_chunk_into(
-        &self,
-        feed: &mut ChunkFeed<f32>,
-        chunk: &[f32],
-        scratch: &mut DspScratch,
-        lanes: &mut [Vec<f32>],
-    ) -> Result<(), DspError> {
-        self.check_lanes(lanes)?;
-        self.check_feed(feed)?;
-        let block = self.block_len();
-        let step = self.step();
-        let mut rest = chunk;
-        while !rest.is_empty() {
-            let take = (block - feed.buf.len()).min(rest.len());
-            feed.buf.extend_from_slice(&rest[..take]);
-            rest = &rest[take..];
-            if feed.buf.len() == block {
-                self.feed_transform(feed, scratch)?;
-                self.fan_out(scratch, step, lanes)?;
-                feed.emitted += step;
-            }
-        }
-        feed.pushed += chunk.len();
-        debug_assert!(feed.emitted <= feed.pushed);
-        Ok(())
-    }
-
-    fn feed_transform(
-        &self,
-        feed: &mut ChunkFeed<f32>,
-        scratch: &mut DspScratch,
-    ) -> Result<(), DspError> {
-        debug_assert_eq!(feed.buf.len(), self.block_len());
-        scratch.r32.clear();
-        scratch.r32.extend_from_slice(&feed.buf);
-        let DspScratch {
-            f1_re, f1_im, r32, ..
-        } = &mut *scratch;
-        self.plan.rfft_half_into(r32, f1_re, f1_im)?;
-        let step = self.step();
-        feed.buf.copy_within(step.., 0);
-        feed.buf.truncate(self.block_len() - step);
-        Ok(())
-    }
-
-    /// [`StreamingMatchedFilterBank32::push_chunk_into`] with the
-    /// emitted lags normalized per lane.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as
-    /// [`StreamingMatchedFilterBank32::push_chunk_into`].
-    pub fn push_chunk_normalized_into(
-        &self,
-        feed: &mut ChunkFeed<f32>,
-        chunk: &[f32],
-        scratch: &mut DspScratch,
-        lanes: &mut [Vec<f32>],
-    ) -> Result<(), DspError> {
-        let before = feed.emitted;
-        self.push_chunk_into(feed, chunk, scratch, lanes)?;
-        self.normalize_tail(feed.emitted - before, lanes);
-        Ok(())
-    }
-
-    /// Flushes `feed`, appending the remaining raw lags to every lane
-    /// (f32 twin of [`StreamingMatchedFilterBank::finish_chunks_into`]).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as
-    /// [`StreamingMatchedFilterBank::finish_chunks_into`].
-    pub fn finish_chunks_into(
-        &self,
-        feed: &mut ChunkFeed<f32>,
-        scratch: &mut DspScratch,
-        lanes: &mut [Vec<f32>],
-    ) -> Result<(), DspError> {
-        self.check_lanes(lanes)?;
-        if !feed.finished && feed.pushed == 0 {
-            return Err(DspError::EmptyInput {
-                what: "xcorr signal",
-            });
-        }
-        if !feed.finished && feed.pushed < self.template_len {
-            return Err(DspError::invalid(
-                "template",
-                format!(
-                    "template ({}) longer than signal ({})",
-                    self.template_len, feed.pushed
-                ),
-            ));
-        }
-        self.check_feed(feed)?;
-        let total = feed.pushed;
-        while feed.emitted < total {
-            feed.buf.resize(self.block_len(), 0.0);
-            self.feed_transform(feed, scratch)?;
-            let take = self.step().min(total - feed.emitted);
-            self.fan_out(scratch, take, lanes)?;
-            feed.emitted += take;
-        }
-        feed.finished = true;
-        Ok(())
-    }
-
-    /// [`StreamingMatchedFilterBank32::finish_chunks_into`] with the
-    /// emitted lags normalized per lane.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as
-    /// [`StreamingMatchedFilterBank32::finish_chunks_into`].
-    pub fn finish_chunks_normalized_into(
-        &self,
-        feed: &mut ChunkFeed<f32>,
-        scratch: &mut DspScratch,
-        lanes: &mut [Vec<f32>],
-    ) -> Result<(), DspError> {
-        let before = feed.emitted;
-        self.finish_chunks_into(feed, scratch, lanes)?;
-        self.normalize_tail(feed.emitted - before, lanes);
-        Ok(())
-    }
-
-    fn normalize_tail(&self, appended: usize, lanes: &mut [Vec<f32>]) {
-        for (lane, out) in self.lanes.iter().zip(lanes.iter_mut()) {
-            let k = (1.0 / lane.energy) as f32;
-            let start = out.len() - appended;
-            for v in &mut out[start..] {
-                *v *= k;
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2761,176 +1793,6 @@ mod tests {
         assert!(filter.correlate(&[1.0]).is_err());
     }
 
-    #[test]
-    fn f32_streaming_tracks_f64_reference() {
-        let template: Vec<f64> = (0..37)
-            .map(|i| (i as f64 * 0.4).sin() - 0.3 * (i as f64 * 0.09).cos())
-            .collect();
-        let signal: Vec<f64> = (0..1500)
-            .map(|i| (i as f64 * 0.021).sin() * (i as f64 * 0.0047).cos())
-            .collect();
-        let reference = xcorr(&signal, &template).unwrap();
-        let template32: Vec<f32> = template.iter().map(|&x| x as f32).collect();
-        let signal32: Vec<f32> = signal.iter().map(|&x| x as f32).collect();
-        let filter = StreamingMatchedFilter32::new(&template32).unwrap();
-        assert_eq!(filter.block_len(), 256);
-        assert_eq!(filter.step(), 256 - 37 + 1);
-        assert_eq!(filter.template_len(), 37);
-        let mut scratch = DspScratch::new();
-        let mut out = Vec::new();
-        filter
-            .correlate_into(&signal32, &mut scratch, &mut out)
-            .unwrap();
-        assert_eq!(out.len(), reference.len());
-        let scale = 1.0 + reference.iter().fold(0.0f64, |m, v| m.max(v.abs()));
-        for (k, (&x, &y)) in out.iter().zip(&reference).enumerate() {
-            assert!((x as f64 - y).abs() < 1e-4 * scale, "lag {k}: {x} vs {y}");
-        }
-    }
-
-    #[test]
-    fn f32_chunked_feed_is_bit_identical_to_f32_one_shot() {
-        let template32: Vec<f32> = (0..37)
-            .map(|i| ((i as f64 * 0.4).sin() - 0.3 * (i as f64 * 0.09).cos()) as f32)
-            .collect();
-        let signal32: Vec<f32> = (0..1777)
-            .map(|i| ((i as f64 * 0.021).sin() * (i as f64 * 0.0047).cos()) as f32)
-            .collect();
-        let filter = StreamingMatchedFilter32::new(&template32).unwrap();
-        let mut scratch = DspScratch::new();
-        let mut reference = Vec::new();
-        filter
-            .correlate_normalized_into(&signal32, &mut scratch, &mut reference)
-            .unwrap();
-        for sizes in [&[1usize][..], &[3, 7, 11][..], &[256][..], &[1777][..]] {
-            let mut feed = filter.chunk_feed();
-            let mut out = Vec::new();
-            let mut pos = 0;
-            let mut i = 0;
-            while pos < signal32.len() {
-                let n = sizes[i % sizes.len()].min(signal32.len() - pos);
-                filter
-                    .push_chunk_normalized_into(
-                        &mut feed,
-                        &signal32[pos..pos + n],
-                        &mut scratch,
-                        &mut out,
-                    )
-                    .unwrap();
-                pos += n;
-                i += 1;
-            }
-            filter
-                .finish_chunks_normalized_into(&mut feed, &mut scratch, &mut out)
-                .unwrap();
-            assert!(feed.is_finished());
-            assert_eq!(feed.pushed(), signal32.len());
-            assert_eq!(feed.emitted(), signal32.len());
-            assert_eq!(out, reference, "chunk sizes {sizes:?}");
-        }
-    }
-
-    #[test]
-    fn folded_prefilter_matches_filter_then_correlate() {
-        // Correlating the raw signal through the folded engine must
-        // reproduce band-pass → correlate within f32 rounding, at every
-        // lag — including the boundary lags where both pipelines rely on
-        // zero extension.
-        let template: Vec<f64> = (0..61)
-            .map(|i| (i as f64 * 0.31).sin() * (1.0 - (i as f64 - 30.0).abs() / 31.0))
-            .collect();
-        let signal: Vec<f64> = (0..2_111)
-            .map(|i| (i as f64 * 0.037).sin() * (i as f64 * 0.0011).cos())
-            .collect();
-        let bp =
-            crate::filter::FirFilter::band_pass(2_000.0, 6_400.0, 44_100.0, 31, Window::Hamming)
-                .unwrap();
-        // Reference: f64 zero-phase band-pass, then f64 correlation.
-        let filtered = bp.filter_zero_phase(&signal).unwrap();
-        let reference = xcorr(&filtered, &template).unwrap();
-        let energy: f64 = template.iter().map(|x| x * x).sum();
-
-        let template32: Vec<f32> = template.iter().map(|&x| x as f32).collect();
-        let signal32: Vec<f32> = signal.iter().map(|&x| x as f32).collect();
-        let folded =
-            StreamingMatchedFilter32::with_zero_phase_prefilter(&template32, bp.taps()).unwrap();
-        assert_eq!(folded.template_len(), template.len() + bp.taps().len() - 1);
-        let mut scratch = DspScratch::new();
-        let mut out = Vec::new();
-        folded
-            .correlate_normalized_into(&signal32, &mut scratch, &mut out)
-            .unwrap();
-        assert_eq!(out.len(), reference.len());
-        // Exact agreement holds up to the partial-overlap tail (the
-        // two-pass reference truncates the prefilter's ringing at the
-        // signal end; the folded engine keeps it).
-        let full = signal.len() - template.len() + 1;
-        let scale = 1.0
-            + reference
-                .iter()
-                .fold(0.0f64, |m, v| m.max(v.abs() / energy));
-        for (k, (&x, &y)) in out.iter().zip(&reference).enumerate().take(full) {
-            assert!(
-                (f64::from(x) - y / energy).abs() < 1e-4 * scale,
-                "lag {k}: {x} vs {}",
-                y / energy
-            );
-        }
-        // The chunked feed honours the folded lead: bit-identical to the
-        // folded one-shot, independent of chunking.
-        let mut feed = folded.chunk_feed();
-        let mut chunked = Vec::new();
-        for chunk in signal32.chunks(97) {
-            folded
-                .push_chunk_normalized_into(&mut feed, chunk, &mut scratch, &mut chunked)
-                .unwrap();
-        }
-        folded
-            .finish_chunks_normalized_into(&mut feed, &mut scratch, &mut chunked)
-            .unwrap();
-        assert_eq!(chunked, out);
-        // Degenerate folds are rejected.
-        assert!(StreamingMatchedFilter32::with_zero_phase_prefilter(&[], bp.taps()).is_err());
-        assert!(StreamingMatchedFilter32::with_zero_phase_prefilter(&template32, &[]).is_err());
-        assert!(
-            StreamingMatchedFilter32::with_zero_phase_prefilter(&[0.0, 0.0], bp.taps()).is_err()
-        );
-    }
-
-    #[test]
-    fn f32_streaming_rejects_degenerate_inputs() {
-        assert!(StreamingMatchedFilter32::new(&[]).is_err());
-        assert!(StreamingMatchedFilter32::new(&[0.0, 0.0]).is_err());
-        assert!(StreamingMatchedFilter32::with_block_len(&[1.0; 8], 4).is_err());
-        assert!(StreamingMatchedFilter32::with_block_len(&[1.0; 8], 12).is_err());
-        let filter = StreamingMatchedFilter32::new(&[1.0, 2.0]).unwrap();
-        assert!((filter.template_energy() - 5.0).abs() < 1e-12);
-        let mut scratch = DspScratch::new();
-        let mut out = Vec::new();
-        assert!(filter.correlate_into(&[], &mut scratch, &mut out).is_err());
-        assert!(filter
-            .correlate_into(&[1.0], &mut scratch, &mut out)
-            .is_err());
-        // Feed error mirroring: nothing pushed, short stream, foreign feed.
-        let mut feed = filter.chunk_feed();
-        assert!(matches!(
-            filter.finish_chunks_into(&mut feed, &mut scratch, &mut out),
-            Err(DspError::EmptyInput { .. })
-        ));
-        filter
-            .push_chunk_into(&mut feed, &[1.0], &mut scratch, &mut out)
-            .unwrap();
-        assert!(filter
-            .finish_chunks_into(&mut feed, &mut scratch, &mut out)
-            .is_err());
-        let other = StreamingMatchedFilter32::new(&[1.0; 64]).unwrap();
-        let mut foreign = other.chunk_feed();
-        assert!(filter
-            .push_chunk_into(&mut foreign, &[1.0], &mut scratch, &mut out)
-            .is_err());
-        assert!(foreign.capacity_bytes() > 0);
-    }
-
     /// Three deterministic templates of *different* lengths plus a long
     /// test capture, shared by the bank conformance tests.
     fn bank_fixtures() -> (Vec<Vec<f64>>, Vec<f64>) {
@@ -3120,10 +1982,9 @@ mod tests {
         assert_eq!(chunked, lanes);
     }
 
-    /// The folded f64 single engine itself must reproduce band-pass →
-    /// correlate exactly (not just within f32 rounding): zero-phase
-    /// filter then correlate equals folded correlation at every full-
-    /// overlap lag.
+    /// The folded single engine must reproduce band-pass → correlate
+    /// exactly: zero-phase filter then correlate equals folded
+    /// correlation at every full-overlap lag.
     #[test]
     fn f64_folded_prefilter_matches_filter_then_correlate() {
         let template: Vec<f64> = (0..61)
@@ -3222,116 +2083,5 @@ mod tests {
         assert!(bank
             .push_chunk_into(&mut foreign, &[1.0], &mut scratch, &mut lanes)
             .is_err());
-    }
-
-    #[test]
-    fn f32_bank_lanes_bit_identical_to_independent_f32_engines() {
-        let (templates, signal) = bank_fixtures();
-        let templates32: Vec<Vec<f32>> = templates
-            .iter()
-            .map(|t| t.iter().map(|&x| x as f32).collect())
-            .collect();
-        let signal32: Vec<f32> = signal.iter().map(|&x| x as f32).collect();
-        let refs: Vec<&[f32]> = templates32.iter().map(Vec::as_slice).collect();
-        let bank = StreamingMatchedFilterBank32::new(&refs).unwrap();
-        assert_eq!(bank.len(), 3);
-        assert!(!bank.is_empty());
-        assert_eq!(bank.template_len(), 61);
-        assert_eq!(bank.block_len(), 256);
-        assert_eq!(bank.step(), 196);
-        assert_eq!(bank.lead(), 0);
-        assert_eq!(bank.template_fft_count(), 3);
-        let mut scratch = DspScratch::new();
-        let mut lanes: Vec<Vec<f32>> = vec![Vec::new(); bank.len()];
-        bank.correlate_into(&signal32, &mut scratch, &mut lanes)
-            .unwrap();
-        for (k, template) in templates32.iter().enumerate() {
-            let mut padded = template.clone();
-            padded.resize(bank.template_len(), 0.0);
-            let single =
-                StreamingMatchedFilter32::with_block_len(&padded, bank.block_len()).unwrap();
-            let mut reference = Vec::new();
-            single
-                .correlate_into(&signal32, &mut scratch, &mut reference)
-                .unwrap();
-            assert_eq!(lanes[k], reference, "f32 lane {k}");
-        }
-        // Chunked f32 bank flow is bit-identical to the f32 one-shot.
-        let mut reference = lanes.clone();
-        bank.correlate_normalized_into(&signal32, &mut scratch, &mut reference)
-            .unwrap();
-        let mut feed = bank.chunk_feed();
-        let mut chunked: Vec<Vec<f32>> = vec![Vec::new(); bank.len()];
-        for chunk in signal32.chunks(131) {
-            bank.push_chunk_normalized_into(&mut feed, chunk, &mut scratch, &mut chunked)
-                .unwrap();
-        }
-        bank.finish_chunks_normalized_into(&mut feed, &mut scratch, &mut chunked)
-            .unwrap();
-        assert_eq!(chunked, reference);
-        // Raw chunked flow too.
-        feed.reset();
-        let mut raw: Vec<Vec<f32>> = vec![Vec::new(); bank.len()];
-        bank.push_chunk_into(&mut feed, &signal32, &mut scratch, &mut raw)
-            .unwrap();
-        bank.finish_chunks_into(&mut feed, &mut scratch, &mut raw)
-            .unwrap();
-        assert_eq!(raw, lanes);
-    }
-
-    #[test]
-    fn f32_bank_folded_prefilters_match_independent_folded_engines() {
-        let templates32: Vec<Vec<f32>> = [(0.40, 0.09), (0.23, 0.31)]
-            .iter()
-            .map(|&(a, b)| {
-                (0..48)
-                    .map(|i| ((i as f64 * a).sin() - 0.3 * (i as f64 * b).cos()) as f32)
-                    .collect()
-            })
-            .collect();
-        let signal32: Vec<f32> = (0..1_500)
-            .map(|i| ((i as f64 * 0.037).sin() * (i as f64 * 0.0011).cos()) as f32)
-            .collect();
-        let taps: Vec<Vec<f64>> = [(2_000.0, 3_000.0), (4_400.0, 5_400.0)]
-            .iter()
-            .map(|&(lo, hi)| {
-                crate::filter::FirFilter::band_pass(lo, hi, 44_100.0, 31, Window::Hamming)
-                    .unwrap()
-                    .taps()
-                    .to_vec()
-            })
-            .collect();
-        let entries: Vec<(&[f32], &[f64])> = templates32
-            .iter()
-            .zip(&taps)
-            .map(|(t, h)| (t.as_slice(), h.as_slice()))
-            .collect();
-        let bank = StreamingMatchedFilterBank32::with_zero_phase_prefilters(&entries).unwrap();
-        assert_eq!(bank.lead(), 15);
-        let mut scratch = DspScratch::new();
-        let mut lanes: Vec<Vec<f32>> = vec![Vec::new(); bank.len()];
-        bank.correlate_normalized_into(&signal32, &mut scratch, &mut lanes)
-            .unwrap();
-        for (k, (template, tap)) in templates32.iter().zip(&taps).enumerate() {
-            let single =
-                StreamingMatchedFilter32::with_zero_phase_prefilter(template, tap).unwrap();
-            assert_eq!(single.block_len(), bank.block_len());
-            assert_eq!(single.template_len(), bank.template_len());
-            let mut reference = Vec::new();
-            single
-                .correlate_normalized_into(&signal32, &mut scratch, &mut reference)
-                .unwrap();
-            assert_eq!(lanes[k], reference, "f32 folded lane {k}");
-        }
-        // Degenerate f32 bank inputs are rejected.
-        assert!(StreamingMatchedFilterBank32::new(&[]).is_err());
-        assert!(StreamingMatchedFilterBank32::new(&[&[][..]]).is_err());
-        assert!(StreamingMatchedFilterBank32::new(&[&[0.0, 0.0][..]]).is_err());
-        assert!(StreamingMatchedFilterBank32::with_zero_phase_prefilters(&[]).is_err());
-        assert!(StreamingMatchedFilterBank32::with_zero_phase_prefilters(&[
-            (&[1.0f32, 2.0][..], &[0.2, 0.6, 0.2][..]),
-            (&[1.0f32, 2.0][..], &[0.1, 0.2, 0.4, 0.2, 0.1][..]),
-        ])
-        .is_err());
     }
 }

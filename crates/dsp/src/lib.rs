@@ -67,13 +67,10 @@
 //!
 //! [HyperEar]: https://doi.org/10.1109/ICDCS.2019.00073
 
-// The crate is `forbid(unsafe_code)` in its default build. The opt-in
-// `simd` feature needs `core::arch` intrinsics, which are unsafe by
-// definition; under that feature the lint drops to `deny` so the one
-// runtime-dispatched kernel module in `complex` can scope a targeted
-// `allow` — everything else still refuses unsafe.
-#![cfg_attr(not(feature = "simd"), forbid(unsafe_code))]
-#![cfg_attr(feature = "simd", deny(unsafe_code))]
+// Every kernel is safe Rust written for the autovectorizer (see
+// `complex`'s lane kernels); the crate has no feature that admits
+// `unsafe`.
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod chirp;

@@ -156,6 +156,12 @@ impl Shared {
 
 /// A set-once gate a thread can block on, built from `std`'s
 /// futex-backed primitives so neither arming nor signalling allocates.
+///
+/// The latch usually lives in the waiter's stack frame, which the waiter
+/// may free as soon as it returns. So [`Latch::set`] writes the flag
+/// under the lock, and every waiter leaves through the lock (see
+/// [`Latch::wait`]): no waiter can return until the setter has released
+/// the lock, which makes that release the setter's last access.
 struct Latch {
     flag: AtomicBool,
     lock: Mutex<()>,
@@ -176,17 +182,18 @@ impl Latch {
     }
 
     fn set(&self) {
-        self.flag.store(true, Ordering::Release);
         let _guard = self
             .lock
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
+        self.flag.store(true, Ordering::Release);
         self.cv.notify_all();
     }
 
-    /// Blocks until [`Latch::set`]. Only for threads outside the pool —
-    /// a worker must help-execute instead (see `Pool::wait_on`) or it
-    /// could deadlock the pool.
+    /// Blocks until [`Latch::set`] has returned its lock. Threads inside
+    /// the pool call it only once [`Latch::probe`] is true — a worker
+    /// must help-execute while the latch is unset (see `Pool::wait_on`)
+    /// or it could deadlock the pool.
     fn wait(&self) {
         let mut guard = self
             .lock
@@ -255,13 +262,14 @@ unsafe impl<F: Send, R: Send> Sync for StackJob<F, R> {}
 struct Region<F> {
     /// Next unclaimed item index.
     cursor: AtomicUsize,
-    /// Items fully processed (including items whose closure panicked).
-    finished: AtomicUsize,
     /// Total items.
     len: usize,
-    /// Broadcast tasks still queued or running (decremented on task
-    /// exit and by owner-side reclamation of never-started tasks).
-    tasks_live: AtomicUsize,
+    /// Participants not yet done with the region: the owner plus every
+    /// broadcast task still queued or running. A participant leaves
+    /// [`Region::work`] only once the cursor is exhausted and its own
+    /// items are finished, so zero means every item is done. Whoever
+    /// takes the count to zero sets the latch.
+    pending: AtomicUsize,
     first_panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
     latch: Latch,
     /// `f(slot, item)`: `slot` is the executing participant's stable
@@ -288,19 +296,16 @@ impl<F: Fn(usize, usize) + Sync> Region<F> {
                     *first = Some(payload);
                 }
             }
-            self.finished.fetch_add(1, Ordering::AcqRel);
         }
     }
 
-    fn is_complete(&self) -> bool {
-        self.finished.load(Ordering::Acquire) == self.len
-            && self.tasks_live.load(Ordering::Acquire) == 0
-    }
-
-    /// Sets the latch if the region just completed. Called after every
-    /// completion-relevant update, so whichever update is last fires it.
-    fn maybe_finish(&self) {
-        if self.is_complete() {
+    /// Retires `count` participants. The decrement is the caller's last
+    /// access to the region unless it retires the final participants;
+    /// then setting the latch is. `AcqRel`: every decrement releases the
+    /// caller's item writes, and the final one acquires them all before
+    /// the latch hands them to the owner.
+    fn retire(&self, count: usize) {
+        if self.pending.fetch_sub(count, Ordering::AcqRel) == count {
             self.latch.set();
         }
     }
@@ -311,8 +316,7 @@ impl<F: Fn(usize, usize) + Sync> Region<F> {
         // `w` owns participant slot `w + 1` (slot 0 is the caller's).
         let slot = WORKER.get().map_or(0, |(_, w)| w + 1);
         region.work(slot);
-        region.tasks_live.fetch_sub(1, Ordering::AcqRel);
-        region.maybe_finish();
+        region.retire(1);
     }
 }
 
@@ -549,19 +553,19 @@ impl Pool {
 
     /// Blocks until `latch` is set. A worker helps by executing other
     /// tasks while it waits; an external thread parks on the latch.
+    /// Either way it returns through [`Latch::wait`], so the setter is
+    /// done with the latch before the caller may free it.
     fn wait_on(&self, latch: &Latch) {
-        match self.current_worker() {
-            Some(w) => {
-                while !latch.probe() {
-                    if let Some(task) = self.shared.find_task(w) {
-                        self.shared.execute(w, task);
-                    } else {
-                        thread::yield_now();
-                    }
+        if let Some(w) = self.current_worker() {
+            while !latch.probe() {
+                if let Some(task) = self.shared.find_task(w) {
+                    self.shared.execute(w, task);
+                } else {
+                    thread::yield_now();
                 }
             }
-            None => latch.wait(),
         }
+        latch.wait();
     }
 
     /// Runs `a` and `b`, potentially in parallel, and returns both
@@ -626,9 +630,8 @@ impl Pool {
         let broadcast = self.shared.deques.len() - usize::from(here.is_some());
         let region = Region {
             cursor: AtomicUsize::new(0),
-            finished: AtomicUsize::new(0),
             len,
-            tasks_live: AtomicUsize::new(broadcast),
+            pending: AtomicUsize::new(broadcast + 1),
             first_panic: Mutex::new(None),
             latch: Latch::new(),
             f,
@@ -651,7 +654,7 @@ impl Pool {
         let owner_slot = here.map_or(0, |w| w + 1);
         region.work(owner_slot);
         // Reclaim broadcast tasks nobody started: the cursor is
-        // exhausted, so they would only decrement `tasks_live` — and a
+        // exhausted, so they would only retire themselves — and a
         // queued task must not outlive this frame.
         let mut reclaimed = 0usize;
         for deque in &self.shared.deques {
@@ -662,10 +665,7 @@ impl Pool {
             deque.retain(|t| !std::ptr::eq(t.data, task.data));
             reclaimed += before - deque.len();
         }
-        if reclaimed > 0 {
-            region.tasks_live.fetch_sub(reclaimed, Ordering::AcqRel);
-        }
-        region.maybe_finish();
+        region.retire(reclaimed + 1);
         self.wait_on(&region.latch);
         let payload = region
             .first_panic

@@ -7,7 +7,10 @@
 use hyperear_util::pool::Pool;
 use hyperear_util::rng::Xoshiro256pp;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{mpsc, Arc};
+use std::thread;
+use std::time::{Duration, Instant};
 
 /// A deterministic per-item workload whose cost varies with the index,
 /// so items finish out of order and stealing actually happens.
@@ -139,5 +142,100 @@ fn interleaved_primitives_share_one_pool() {
             }
         });
         assert_eq!(total.load(Ordering::SeqCst) as usize, len);
+    }
+}
+
+/// Two threads that alternate 20 µs of spinning with 20 µs of sleep
+/// until dropped. Every wakeup preempts whichever thread holds the CPU
+/// at an arbitrary instruction, which stretches a nanosecond race
+/// window in the pool to a scheduler slice.
+struct PreemptionLoad {
+    stop: Arc<AtomicBool>,
+    threads: Vec<thread::JoinHandle<()>>,
+}
+
+impl PreemptionLoad {
+    fn start() -> Self {
+        const PHASE: Duration = Duration::from_micros(20);
+        let stop = Arc::new(AtomicBool::new(false));
+        let threads = (0..2)
+            .map(|_| {
+                let stop = Arc::clone(&stop);
+                thread::spawn(move || {
+                    while !stop.load(Ordering::Relaxed) {
+                        let t = Instant::now();
+                        while t.elapsed() < PHASE {
+                            std::hint::spin_loop();
+                        }
+                        thread::sleep(PHASE);
+                    }
+                })
+            })
+            .collect();
+        PreemptionLoad { stop, threads }
+    }
+}
+
+impl Drop for PreemptionLoad {
+    fn drop(&mut self) {
+        self.stop.store(true, Ordering::Relaxed);
+        for t in self.threads.drain(..) {
+            let _ = t.join();
+        }
+    }
+}
+
+/// Completion race: a participant that touches a fork's stack frame
+/// (latch included) after signalling completion corrupts the next fork,
+/// which reuses the same addresses — a hang, or a fork that returns
+/// before its work ran. Every participant runs its own stream of tiny
+/// joins and regions, so owners wait both parked (the calling thread)
+/// and spinning while they help (workers). The streams have different
+/// lengths, so each pass ends with participants going idle while others
+/// still fork — the phase where the race showed — and the pool must
+/// still shut down cleanly afterwards. A sound pool takes well under a
+/// second.
+#[test]
+fn nested_tiny_forks_complete_under_a_watchdog() {
+    const THREADS: usize = 3;
+    const PASSES: u64 = 30;
+    const DEADLINE: Duration = Duration::from_secs(60);
+    let rounds = |participant: usize| 10_000 * (participant as u64 + 1) / THREADS as u64;
+    let total = PASSES * (0..THREADS).map(rounds).sum::<u64>();
+    let _load = PreemptionLoad::start();
+    let done = Arc::new(AtomicU64::new(0));
+    let progress = Arc::clone(&done);
+    let (tx, rx) = mpsc::channel();
+    // The forks run on their own thread so a hung pool fails the test at
+    // the deadline instead of hanging it (the stuck thread stays parked
+    // until the test binary exits).
+    let forks = thread::spawn(move || {
+        let pool = Pool::new(THREADS);
+        for _ in 0..PASSES {
+            pool.parallel_for_each(THREADS, |participant| {
+                let mut ctxs = [0u64; THREADS];
+                let mut items = [0u64; 3];
+                for round in 1..=rounds(participant) {
+                    let (a, b) = pool.join(|| round, || round + 1);
+                    assert_eq!(a + 1, b);
+                    pool.parallel_update(&mut ctxs, &mut items, |_, _, item| *item += 1);
+                    assert_eq!(items, [round; 3], "round {round} returned early");
+                    progress.fetch_add(1, Ordering::Relaxed);
+                }
+            });
+        }
+        drop(pool);
+        let _ = tx.send(());
+    });
+    match rx.recv_timeout(DEADLINE) {
+        Ok(()) | Err(mpsc::RecvTimeoutError::Disconnected) => {
+            if let Err(payload) = forks.join() {
+                panic::resume_unwind(payload);
+            }
+        }
+        Err(mpsc::RecvTimeoutError::Timeout) => panic!(
+            "pool stalled: {} of {total} rounds finished within {DEADLINE:?}",
+            done.load(Ordering::Relaxed)
+        ),
     }
 }

@@ -8,7 +8,6 @@
 #   scripts/verify.sh --stream     # tier-1 gate + streaming soak smoke
 #   scripts/verify.sh --doa        # tier-1 gate + DOA contract property sweep
 #   scripts/verify.sh --estimators # tier-1 gate + estimator-bank contract sweep
-#   scripts/verify.sh --simd       # tier-1 gate + SIMD/precision matrix
 #   scripts/verify.sh --multibeacon # tier-1 gate + K-beacon bank contracts
 #
 # The --faults tier drives the full fault-injection matrix through the
@@ -40,15 +39,6 @@
 # fault-matrix accuracy-vs-cost sweep (`repro --fast estimators`), and
 # greps the `estimator-contract: ... HELD` lines from both.
 #
-# The --simd tier builds and tests the DSP crate with and without the
-# `simd` feature (runtime-detected x86_64 intrinsic kernels), then runs
-# the precision property sweep (f32 pipeline vs the f64 reference) under
-# both feature states at HYPEREAR_THREADS=1 and =4, grepping the
-# `precision-contract: ... HELD` lines: vectorized f64 kernels must stay
-# bit-identical to the scalar loops, and the f32 pipeline must sit
-# within the 7.78 mm one-sample floor on clean sessions and within two
-# samples of f64 under the fault matrix.
-#
 # The --multibeacon tier runs the K-concurrent-beacon contracts: the
 # multi-beacon conformance suite (per-beacon range recovery from one
 # shared capture, outcome bit-identity across thread counts, typed
@@ -68,7 +58,6 @@ RUN_BENCH=0
 RUN_STREAM=0
 RUN_DOA=0
 RUN_ESTIMATORS=0
-RUN_SIMD=0
 RUN_MULTIBEACON=0
 for arg in "$@"; do
     case "$arg" in
@@ -77,9 +66,8 @@ for arg in "$@"; do
         --stream) RUN_STREAM=1 ;;
         --doa) RUN_DOA=1 ;;
         --estimators) RUN_ESTIMATORS=1 ;;
-        --simd) RUN_SIMD=1 ;;
         --multibeacon) RUN_MULTIBEACON=1 ;;
-        *) echo "unknown option: $arg (supported: --faults, --bench, --stream, --doa, --estimators, --simd, --multibeacon)" >&2; exit 2 ;;
+        *) echo "unknown option: $arg (supported: --faults, --bench, --stream, --doa, --estimators, --multibeacon)" >&2; exit 2 ;;
     esac
 done
 
@@ -205,30 +193,6 @@ if [ "$RUN_ESTIMATORS" -eq 1 ]; then
         echo "ESTIMATORS TIER FAILED: estimator bank contract not held" >&2
         exit 1
     fi
-fi
-
-if [ "$RUN_SIMD" -eq 1 ]; then
-    echo "== dsp tests with the simd feature (runtime-detected intrinsics) =="
-    cargo test -p hyperear-dsp --features simd -q
-
-    # The precision matrix: the property sweep under both feature states
-    # (portable chunked kernels vs intrinsic dispatch) and both pool
-    # shapes, so f64 bit-identity and the f32 accuracy envelope are
-    # pinned on every combination a deployment can select.
-    for FEATURES in "" "--features simd"; do
-        for THREADS in 1 4; do
-            LABEL="features='${FEATURES:-none}' threads=${THREADS}"
-            echo "== precision property sweep (${LABEL}) =="
-            # shellcheck disable=SC2086
-            OUT="$(HYPEREAR_THREADS=$THREADS \
-                cargo test --release $FEATURES --test precision_property -- --nocapture 2>&1)"
-            echo "$OUT"
-            if [ "$(grep -c "precision-contract:.*HELD" <<<"$OUT")" -lt 4 ]; then
-                echo "SIMD TIER FAILED: precision contract not held (${LABEL})" >&2
-                exit 1
-            fi
-        done
-    done
 fi
 
 if [ "$RUN_MULTIBEACON" -eq 1 ]; then
