@@ -1,10 +1,10 @@
 //! The tentpole benchmark of the shared-spectrum template bank: K=4
 //! concurrent beacons detected from one capture, banked (one forward
 //! FFT per block fanned across K conjugate-multiply + inverse lanes,
-//! band-pass folded into each template) versus the pre-bank baseline of
-//! K independent stock detectors (each paying its own band-pass pass
-//! *and* its own forward transform per block). Arrivals are asserted
-//! equivalent before any timing, so the speedup is measured between
+//! band-pass folded into each template) versus K independent stock
+//! detectors (each folding its own band-pass too, but paying its own
+//! forward transform per block). Arrivals are asserted equivalent
+//! before any timing, so the speedup is measured between
 //! implementations that agree on the answer. Runs on the workspace's
 //! own std-only harness (`hyperear_util::bench`).
 

@@ -13,7 +13,7 @@ use crate::HyperEarError;
 use hyperear_dsp::chirp::Chirp;
 use hyperear_dsp::correlate::{ChunkFeed, StreamingMatchedFilter, StreamingMatchedFilterBank};
 use hyperear_dsp::estimator::{gcc_phat_with, subband_coherence_with, EstimatorScratch};
-use hyperear_dsp::filter::{FirFilter, ZeroPhaseFir};
+use hyperear_dsp::filter::FirFilter;
 use hyperear_dsp::interpolate::{parabolic_peak, sinc_peak};
 use hyperear_dsp::peak::{find_peaks_into, noise_floor_with, Peak, PeakConfig};
 use hyperear_dsp::plan::DspScratch;
@@ -30,20 +30,21 @@ pub struct BeaconArrival {
 }
 
 /// The immutable, shareable half of a beacon detector: the reference
-/// chirp's matched filter, the band-pass design, and every detection
-/// threshold — everything construction precomputes and detection only
-/// reads.
+/// chirp's matched filter and every detection threshold — everything
+/// construction precomputes and detection only reads.
 ///
-/// Both the matched filter and the band-pass run as overlap-save block
-/// engines ([`StreamingMatchedFilter`], [`ZeroPhaseFir`]) whose hot
-/// methods take `&self`, so one core can serve any number of channels
-/// (or batch workers) concurrently — each caller brings its own
+/// With `detection.band_pass` on, the zero-phase band-pass is folded
+/// into the chirp template at construction (`corr(bp(x), t) =
+/// corr(x, bp⋆t)`, [`StreamingMatchedFilter::with_zero_phase_prefilter`]),
+/// so detection is one overlap-save pass over the raw channel; the
+/// input is never filtered on its own. The engine's hot methods take
+/// `&self`, so one core can serve any number of channels (or batch
+/// workers) concurrently — each caller brings its own
 /// [`DetectScratch`]. Template spectra and FFT tables therefore exist
 /// once per sample rate per process instead of once per worker.
 #[derive(Debug, Clone)]
 pub struct DetectorCore {
     filter: StreamingMatchedFilter,
-    band_pass: Option<ZeroPhaseFir>,
     sample_rate: f64,
     min_spacing: usize,
     threshold_factor: f64,
@@ -127,7 +128,6 @@ const LEADING_EDGE_RATIO: f64 = 0.7;
 pub struct DetectScratch {
     scratch: DspScratch,
     corr: Vec<f64>,
-    filtered: Vec<f64>,
     peaks: Vec<Peak>,
     peaks_scratch: Vec<Peak>,
     mags: Vec<f64>,
@@ -153,10 +153,7 @@ impl DetectScratch {
     #[must_use]
     pub fn capacity_bytes(&self) -> usize {
         self.scratch.capacity_bytes()
-            + (self.corr.capacity()
-                + self.filtered.capacity()
-                + self.mags.capacity()
-                + self.weighted.capacity())
+            + (self.corr.capacity() + self.mags.capacity() + self.weighted.capacity())
                 * std::mem::size_of::<f64>()
             + (self.peaks.capacity() + self.peaks_scratch.capacity()) * std::mem::size_of::<Peak>()
             + self.est.capacity_bytes()
@@ -167,6 +164,35 @@ impl DetectScratch {
     pub(crate) fn corr(&self) -> &[f64] {
         &self.corr
     }
+}
+
+/// The detection design for one beacon: its reference chirp and, when
+/// `detection.band_pass` is on, the band-pass whose taps fold into the
+/// chirp's matched-filter template.
+fn detection_design(
+    config: &HyperEarConfig,
+    sample_rate: f64,
+) -> Result<(Chirp, Option<FirFilter>), HyperEarError> {
+    let beacon = &config.beacon;
+    let chirp = Chirp::new(
+        beacon.f0,
+        beacon.f1,
+        beacon.duration,
+        sample_rate,
+        beacon.pattern.shape(),
+    )?;
+    let band_pass = if config.detection.band_pass {
+        Some(FirFilter::band_pass(
+            beacon.f0 * 0.9,
+            beacon.f1 * 1.1,
+            sample_rate,
+            config.detection.band_pass_taps,
+            Window::Hamming,
+        )?)
+    } else {
+        None
+    };
+    Ok((chirp, band_pass))
 }
 
 impl DetectorCore {
@@ -187,28 +213,15 @@ impl DetectorCore {
                 ),
             ));
         }
-        let chirp = Chirp::new(
-            config.beacon.f0,
-            config.beacon.f1,
-            config.beacon.duration,
-            sample_rate,
-            config.beacon.pattern.shape(),
-        )?;
-        let filter = StreamingMatchedFilter::new(chirp.samples())?;
-        let band_pass = if config.detection.band_pass {
-            Some(ZeroPhaseFir::new(&FirFilter::band_pass(
-                config.beacon.f0 * 0.9,
-                config.beacon.f1 * 1.1,
-                sample_rate,
-                config.detection.band_pass_taps,
-                Window::Hamming,
-            )?)?)
-        } else {
-            None
+        let (chirp, band_pass) = detection_design(config, sample_rate)?;
+        let filter = match band_pass {
+            Some(bp) => {
+                StreamingMatchedFilter::with_zero_phase_prefilter(chirp.samples(), bp.taps())?
+            }
+            None => StreamingMatchedFilter::new(chirp.samples())?,
         };
         Ok(DetectorCore {
             filter,
-            band_pass,
             sample_rate,
             min_spacing: (config.detection.min_spacing_fraction
                 * config.beacon.period
@@ -241,13 +254,12 @@ impl DetectorCore {
 
     /// The largest FFT a detection pass ever runs, in samples.
     ///
-    /// Both detection stages process the capture in overlap-save blocks,
-    /// so this bound depends only on the chirp template and band-pass tap
-    /// count — never on the capture length.
+    /// Detection processes the capture in overlap-save blocks, so this
+    /// bound depends only on the (folded) chirp template — never on the
+    /// capture length.
     #[must_use]
     pub fn peak_fft_len(&self) -> usize {
-        let bp = self.band_pass.as_ref().map_or(0, ZeroPhaseFir::block_len);
-        self.filter.block_len().max(bp)
+        self.filter.block_len()
     }
 
     /// Detects beacon arrivals in one audio channel, using a
@@ -329,8 +341,8 @@ impl DetectorCore {
         }
     }
 
-    /// The pre-threshold half of detection: band-pass the channel and
-    /// compute the normalized matched-filter correlation into
+    /// The pre-threshold half of detection: the normalized (band-pass
+    /// folded) matched-filter correlation of the channel into
     /// `scratch.corr` (readable via [`DetectScratch::corr`]). The MCCI
     /// engine path uses this to collect every channel's correlation
     /// before fusing.
@@ -339,15 +351,8 @@ impl DetectorCore {
         channel: &[f64],
         scratch: &mut DetectScratch,
     ) -> Result<(), HyperEarError> {
-        let signal: &[f64] = match &self.band_pass {
-            Some(bp) => {
-                bp.filter_into(channel, &mut scratch.scratch, &mut scratch.filtered)?;
-                &scratch.filtered
-            }
-            None => channel,
-        };
         self.filter
-            .correlate_normalized_into(signal, &mut scratch.scratch, &mut scratch.corr)?;
+            .correlate_normalized_into(channel, &mut scratch.scratch, &mut scratch.corr)?;
         Ok(())
     }
 
@@ -657,11 +662,10 @@ impl BeaconDetector {
 
     /// Allocation-free form of [`BeaconDetector::detect`]: arrivals land
     /// in a caller-owned buffer that is cleared and reused, and every
-    /// intermediate (band-passed signal, correlation, peak list, noise
-    /// statistics) lives in detector-owned scratch. Once warm, a detection
-    /// pass does not allocate — except in the non-default
-    /// `envelope_detection` branch, whose Hilbert transform still builds
-    /// its own buffers.
+    /// intermediate (correlation, peak list, noise statistics) lives in
+    /// detector-owned scratch. Once warm, a detection pass does not
+    /// allocate — except in the non-default `envelope_detection` branch,
+    /// whose Hilbert transform still builds its own buffers.
     ///
     /// # Errors
     ///
@@ -679,13 +683,13 @@ impl BeaconDetector {
 /// of a [`DetectorCore`].
 ///
 /// Audio arrives in chunks of any size via [`StreamingDetector::push`];
-/// each chunk flows through the band-pass and matched-filter overlap-save
-/// engines *as it arrives* (chunk feeds keep per-block FFT cost amortized
-/// and the transform working set at one block), and the resulting
-/// normalized correlation lags accumulate in a buffer preallocated to a
-/// hard `max_samples` cap. [`StreamingDetector::finish_into`] then runs
-/// the exact threshold/peak stage of the one-shot detector over the
-/// accumulated correlation.
+/// each chunk flows through the core's (band-pass folded) matched-filter
+/// overlap-save engine *as it arrives* (a chunk feed keeps per-block FFT
+/// cost amortized and the transform working set at one block), and the
+/// resulting normalized correlation lags accumulate in a buffer
+/// preallocated to a hard `max_samples` cap.
+/// [`StreamingDetector::finish_into`] then runs the exact threshold/peak
+/// stage of the one-shot detector over the accumulated correlation.
 ///
 /// # Equivalence
 ///
@@ -704,12 +708,8 @@ impl BeaconDetector {
 #[derive(Debug, Clone)]
 pub struct StreamingDetector {
     core: std::sync::Arc<DetectorCore>,
-    /// Band-pass ingestion state (present iff the core has a band-pass).
-    fir_feed: Option<ChunkFeed>,
     mf_feed: ChunkFeed,
     scratch: DspScratch,
-    /// Filtered samples emitted by the band-pass for the current chunk.
-    filtered_burst: Vec<f64>,
     /// The accumulated normalized correlation (capacity `max_samples`).
     corr: Vec<f64>,
     mags: Vec<f64>,
@@ -737,22 +737,19 @@ impl StreamingDetector {
         core: std::sync::Arc<DetectorCore>,
         max_samples: usize,
     ) -> Result<Self, HyperEarError> {
-        if max_samples < core.filter.template_len() {
+        if max_samples < core.filter.min_signal_len() {
             return Err(HyperEarError::invalid(
                 "max_samples",
                 format!(
                     "capacity {max_samples} cannot hold one chirp template ({})",
-                    core.filter.template_len()
+                    core.filter.min_signal_len()
                 ),
             ));
         }
-        let fir_feed = core.band_pass.as_ref().map(ZeroPhaseFir::chunk_feed);
         let mf_feed = core.filter.chunk_feed();
         Ok(StreamingDetector {
-            fir_feed,
             mf_feed,
             scratch: DspScratch::new(),
-            filtered_burst: Vec::new(),
             corr: Vec::with_capacity(max_samples),
             mags: Vec::with_capacity(max_samples),
             peaks: Vec::new(),
@@ -818,31 +815,17 @@ impl StreamingDetector {
                 capacity: self.max_samples,
             });
         }
-        match (&self.core.band_pass, &mut self.fir_feed) {
-            (Some(bp), Some(feed)) => {
-                self.filtered_burst.clear();
-                bp.push_chunk_into(feed, chunk, &mut self.scratch, &mut self.filtered_burst)?;
-                self.core.filter.push_chunk_normalized_into(
-                    &mut self.mf_feed,
-                    &self.filtered_burst,
-                    &mut self.scratch,
-                    &mut self.corr,
-                )?;
-            }
-            _ => {
-                self.core.filter.push_chunk_normalized_into(
-                    &mut self.mf_feed,
-                    chunk,
-                    &mut self.scratch,
-                    &mut self.corr,
-                )?;
-            }
-        }
+        self.core.filter.push_chunk_normalized_into(
+            &mut self.mf_feed,
+            chunk,
+            &mut self.scratch,
+            &mut self.corr,
+        )?;
         self.pushed = needed;
         Ok(())
     }
 
-    /// Ends the capture: flushes both overlap-save feeds and runs the
+    /// Ends the capture: flushes the overlap-save feed and runs the
     /// one-shot threshold/peak/interpolation stage over the accumulated
     /// correlation, leaving the arrivals in `out` (cleared and refilled).
     /// The detector is then finished until [`StreamingDetector::reset`].
@@ -859,28 +842,8 @@ impl StreamingDetector {
                 "capture already finished; call reset() to start a new one",
             ));
         }
-        if self.pushed == 0 {
-            // Same typed error class the one-shot detector returns for an
-            // empty channel.
-            return Err(hyperear_dsp::DspError::EmptyInput {
-                what: if self.core.band_pass.is_some() {
-                    "FIR input"
-                } else {
-                    "xcorr signal"
-                },
-            }
-            .into());
-        }
-        if let (Some(bp), Some(feed)) = (&self.core.band_pass, &mut self.fir_feed) {
-            self.filtered_burst.clear();
-            bp.finish_chunks_into(feed, &mut self.scratch, &mut self.filtered_burst)?;
-            self.core.filter.push_chunk_normalized_into(
-                &mut self.mf_feed,
-                &self.filtered_burst,
-                &mut self.scratch,
-                &mut self.corr,
-            )?;
-        }
+        // An empty or too-short capture fails inside the flush with the
+        // one-shot detector's typed error.
         self.core.filter.finish_chunks_normalized_into(
             &mut self.mf_feed,
             &mut self.scratch,
@@ -927,9 +890,6 @@ impl StreamingDetector {
     /// Returns the detector to its initial state for a new capture,
     /// keeping every buffer's capacity (no allocation).
     pub fn reset(&mut self) {
-        if let Some(feed) = &mut self.fir_feed {
-            feed.reset();
-        }
         self.mf_feed.reset();
         self.corr.clear();
         self.weighted.clear();
@@ -944,14 +904,10 @@ impl StreamingDetector {
     #[must_use]
     pub fn working_set_bytes(&self) -> usize {
         self.scratch.capacity_bytes()
-            + (self.corr.capacity()
-                + self.mags.capacity()
-                + self.filtered_burst.capacity()
-                + self.weighted.capacity())
+            + (self.corr.capacity() + self.mags.capacity() + self.weighted.capacity())
                 * std::mem::size_of::<f64>()
             + (self.peaks.capacity() + self.peaks_scratch.capacity()) * std::mem::size_of::<Peak>()
             + self.est.capacity_bytes()
-            + self.fir_feed.as_ref().map_or(0, ChunkFeed::capacity_bytes)
             + self.mf_feed.capacity_bytes()
     }
 }
@@ -1014,15 +970,15 @@ impl MultiBeaconScratch {
 /// pipeline cores).
 ///
 /// Detection cost per channel is ~one forward transform + K inverse
-/// transforms per block, instead of the K×(band-pass + forward +
-/// inverse) that K independent detectors spend: each signature's
-/// band-pass FIR is folded into its template at construction
-/// (`corr(bp(x), tᵢ) = corr(x, bp⋆tᵢ)`), so the input is never
-/// filtered at all. Each lane is **bit-identical** to an
-/// independent [`StreamingMatchedFilter::with_zero_phase_prefilter`]
-/// engine over the same signature (conformance-pinned); the K-detector
-/// *baseline* path (two-pass band-pass-then-correlate) agrees to
-/// matched-filter rounding, so arrivals match to sub-nanosecond.
+/// transforms per block, instead of the K×(forward + inverse) that K
+/// independent detectors spend. Each signature's band-pass FIR is
+/// folded into its template at construction (`corr(bp(x), tᵢ) =
+/// corr(x, bp⋆tᵢ)`), exactly as each [`DetectorCore`] folds its own, so
+/// the input is never filtered at all. Each lane is **bit-identical** to
+/// an independent [`StreamingMatchedFilter::with_zero_phase_prefilter`]
+/// engine over the same signature — the engine beacon `k`'s
+/// [`DetectorCore`] runs — so the bank's arrivals equal K independent
+/// detectors' bit for bit (conformance-pinned).
 ///
 /// The hot methods take `&self` — clone the detector (cheap: template
 /// spectra and cores are `Arc`-shared) or hand out per-worker
@@ -1046,38 +1002,19 @@ impl MultiBeaconDetector {
         let k = config.beacons();
         let mut cores = Vec::with_capacity(k);
         let mut templates: Vec<Vec<f64>> = Vec::with_capacity(k);
-        let mut taps: Vec<Vec<f64>> = Vec::with_capacity(k);
-        let band_pass = config.session.detection.band_pass;
-        for (i, sig) in config.signatures.iter().enumerate() {
+        let mut taps: Vec<FirFilter> = Vec::with_capacity(k);
+        for i in 0..k {
             let per = config.session_config(i);
             cores.push(std::sync::Arc::new(DetectorCore::new(&per, sample_rate)?));
-            let chirp = Chirp::new(
-                sig.f0,
-                sig.f1,
-                per.beacon.duration,
-                sample_rate,
-                sig.pattern.shape(),
-            )?;
+            let (chirp, band_pass) = detection_design(&per, sample_rate)?;
             templates.push(chirp.samples().to_vec());
-            if band_pass {
-                taps.push(
-                    FirFilter::band_pass(
-                        sig.f0 * 0.9,
-                        sig.f1 * 1.1,
-                        sample_rate,
-                        per.detection.band_pass_taps,
-                        Window::Hamming,
-                    )?
-                    .taps()
-                    .to_vec(),
-                );
-            }
+            taps.extend(band_pass);
         }
-        let bank = if band_pass {
+        let bank = if config.session.detection.band_pass {
             let entries: Vec<(&[f64], &[f64])> = templates
                 .iter()
                 .zip(&taps)
-                .map(|(t, h)| (t.as_slice(), h.as_slice()))
+                .map(|(t, h)| (t.as_slice(), h.taps()))
                 .collect();
             StreamingMatchedFilterBank::with_zero_phase_prefilters(&entries)?
         } else {
@@ -1539,6 +1476,79 @@ mod tests {
         assert!(bound < 20_000, "peak FFT {bound}");
     }
 
+    /// The folded detector against the two-pass pipeline it replaces
+    /// (zero-phase band-pass, then the plain chirp matched filter) on a
+    /// rendered session: the two orders of the same linear operators
+    /// agree to rounding on every full-overlap lag, and so do the
+    /// arrivals timed from them.
+    #[test]
+    fn folded_detection_matches_the_two_pass_reference() {
+        use hyperear_dsp::filter::ZeroPhaseFir;
+        use hyperear_sim::environment::Environment;
+        use hyperear_sim::phone::PhoneModel;
+        use hyperear_sim::scenario::ScenarioBuilder;
+        let rec = ScenarioBuilder::new(PhoneModel::galaxy_s4())
+            .environment(Environment::room_quiet())
+            .speaker_range(3.0)
+            .slides(2)
+            .seed(31)
+            .render()
+            .unwrap();
+        let config = HyperEarConfig::galaxy_s4();
+        let fs = rec.audio.sample_rate;
+        let beacon = config.beacon;
+        let chirp = Chirp::new(
+            beacon.f0,
+            beacon.f1,
+            beacon.duration,
+            fs,
+            beacon.pattern.shape(),
+        )
+        .unwrap();
+        let band_pass = ZeroPhaseFir::new(
+            &FirFilter::band_pass(
+                beacon.f0 * 0.9,
+                beacon.f1 * 1.1,
+                fs,
+                config.detection.band_pass_taps,
+                Window::Hamming,
+            )
+            .unwrap(),
+        )
+        .unwrap();
+        let matched = StreamingMatchedFilter::new(chirp.samples()).unwrap();
+        let core = DetectorCore::new(&config, fs).unwrap();
+        let mut dsp = DspScratch::new();
+        let (mut filtered, mut reference) = (Vec::new(), Vec::new());
+        let (mut scratch, mut ref_scratch) = (DetectScratch::new(), DetectScratch::new());
+        let (mut arrivals, mut two_pass) = (Vec::new(), Vec::new());
+        for channel in [&rec.audio.left, &rec.audio.right] {
+            band_pass
+                .filter_into(channel, &mut dsp, &mut filtered)
+                .unwrap();
+            matched
+                .correlate_normalized_into(&filtered, &mut dsp, &mut reference)
+                .unwrap();
+            core.correlate_only(channel, &mut scratch).unwrap();
+            let folded = scratch.corr();
+            assert_eq!(folded.len(), reference.len());
+            let full = channel.len() - core.filter.template_len() + 1;
+            let tol = 1e-9 * (1.0 + reference.iter().fold(0.0f64, |m, v| m.max(v.abs())));
+            for (lag, (a, r)) in folded[..full].iter().zip(&reference[..full]).enumerate() {
+                assert!((a - r).abs() <= tol, "lag {lag}: {a} vs {r}");
+            }
+            core.arrivals_with(&reference, &mut ref_scratch, &mut two_pass)
+                .unwrap();
+            core.detect_with(channel, &mut scratch, &mut arrivals)
+                .unwrap();
+            assert!(arrivals.len() >= 10, "{} arrivals", arrivals.len());
+            assert_eq!(arrivals.len(), two_pass.len());
+            for (a, r) in arrivals.iter().zip(&two_pass) {
+                assert!((a.time - r.time).abs() < 1e-9, "{} vs {}", a.time, r.time);
+            }
+        }
+    }
+
     fn multi_config(beacons: usize) -> MultiBeaconConfig {
         MultiBeaconConfig::distinct_bands(HyperEarConfig::galaxy_s4(), beacons)
     }
@@ -1622,20 +1632,11 @@ mod tests {
             .detect_into(&signal, &mut scratch, &mut out)
             .unwrap();
         for (k, lane) in out.iter().enumerate() {
+            // The solo detector runs the same folded engine as the bank
+            // lane, so the arrivals are equal bit for bit.
             let mut solo = BeaconDetector::new(&multi.session_config(k), FS).unwrap();
             let reference = solo.detect(&signal).unwrap();
-            assert_eq!(lane.len(), reference.len(), "beacon {k}");
-            for (a, r) in lane.iter().zip(&reference) {
-                // The solo detector band-passes the capture then correlates;
-                // the bank folds the FIR into the template. Same arithmetic
-                // reordered, so arrivals agree to well under a nanosecond.
-                assert!(
-                    (a.time - r.time).abs() < 1e-9,
-                    "beacon {k}: {} vs {}",
-                    a.time,
-                    r.time
-                );
-            }
+            assert_eq!(lane, &reference, "beacon {k}");
         }
     }
 

@@ -204,7 +204,8 @@ pub struct DetectionConfig {
     pub relative_threshold: f64,
     /// Minimum peak spacing as a fraction of the beacon period.
     pub min_spacing_fraction: f64,
-    /// Whether to band-pass the audio to the chirp band first.
+    /// Whether to band-pass the audio to the chirp band before matched
+    /// filtering (applied by folding the filter into the chirp template).
     pub band_pass: bool,
     /// FIR taps of the band-pass filter.
     pub band_pass_taps: usize,

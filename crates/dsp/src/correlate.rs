@@ -402,7 +402,7 @@ impl OverlapSave {
 /// FFT block under assembly plus push/emit progress counters.
 ///
 /// A feed turns a blocked engine ([`StreamingMatchedFilter`],
-/// [`crate::filter::ZeroPhaseFir`]) into an online one: samples arrive in
+/// [`StreamingMatchedFilterBank`]) into an online one: samples arrive in
 /// chunks of any size (single samples to whole captures) and completed
 /// output lags are emitted as soon as their FFT block fills. The engine
 /// itself stays `&self` and immutable — all mutable state lives here, so
@@ -413,7 +413,7 @@ impl OverlapSave {
 /// **bit-identical** regardless of how the input was chunked, and
 /// bit-identical to the corresponding one-shot call
 /// ([`StreamingMatchedFilter::correlate_into`] /
-/// [`crate::filter::ZeroPhaseFir::filter_into`]) on the concatenated
+/// [`StreamingMatchedFilterBank::correlate_into`]) on the concatenated
 /// input.
 ///
 /// The working set is one `block_len` buffer, independent of how many
@@ -636,6 +636,9 @@ pub struct StreamingMatchedFilter {
     /// folded-prefilter templates, whose first `lead` entries reach
     /// *before* the nominal template start (the zero-phase group delay).
     lead: usize,
+    /// Shortest accepted signal: the **original** (pre-fold) template
+    /// length, so folding a prefilter never raises the minimum capture.
+    min_signal_len: usize,
 }
 
 impl StreamingMatchedFilter {
@@ -667,6 +670,7 @@ impl StreamingMatchedFilter {
             core: OverlapSave::new(template, block_len)?,
             template_energy: energy,
             lead: 0,
+            min_signal_len: template.len(),
         })
     }
 
@@ -705,13 +709,24 @@ impl StreamingMatchedFilter {
             core: OverlapSave::new(&folded, block)?,
             template_energy: energy,
             lead: (taps.len() - 1) / 2,
+            min_signal_len: template.len(),
         })
     }
 
-    /// The template length in samples.
+    /// The template length in samples (the folded length for a
+    /// prefiltered engine).
     #[must_use]
     pub fn template_len(&self) -> usize {
         self.core.template_len
+    }
+
+    /// The shortest signal the filter accepts: the original template
+    /// length. A folded template is `taps − 1` samples longer, but the
+    /// engine zero-extends its input, so the prefilter does not raise
+    /// the minimum a two-pass pipeline would accept.
+    #[must_use]
+    pub fn min_signal_len(&self) -> usize {
+        self.min_signal_len
     }
 
     /// The FFT block length — the peak transform size of every call,
@@ -754,12 +769,12 @@ impl StreamingMatchedFilter {
                 what: "xcorr signal",
             });
         }
-        if self.template_len() > signal.len() {
+        if self.min_signal_len > signal.len() {
             return Err(DspError::invalid(
                 "template",
                 format!(
                     "template ({}) longer than signal ({})",
-                    self.template_len(),
+                    self.min_signal_len,
                     signal.len()
                 ),
             ));
@@ -863,9 +878,9 @@ impl StreamingMatchedFilter {
     ///
     /// Mirrors [`StreamingMatchedFilter::correlate_into`] on the
     /// concatenated input: [`DspError::EmptyInput`] when nothing was
-    /// pushed, [`DspError::InvalidParameter`] when fewer samples than the
-    /// template length were pushed (or the feed belongs to a different
-    /// engine / was already finished).
+    /// pushed, [`DspError::InvalidParameter`] when fewer than
+    /// [`StreamingMatchedFilter::min_signal_len`] samples were pushed (or
+    /// the feed belongs to a different engine / was already finished).
     pub fn finish_chunks_into(
         &self,
         feed: &mut ChunkFeed,
@@ -877,13 +892,12 @@ impl StreamingMatchedFilter {
                 what: "xcorr signal",
             });
         }
-        if !feed.finished && feed.pushed < self.template_len() {
+        if !feed.finished && feed.pushed < self.min_signal_len {
             return Err(DspError::invalid(
                 "template",
                 format!(
                     "template ({}) longer than signal ({})",
-                    self.template_len(),
-                    feed.pushed
+                    self.min_signal_len, feed.pushed
                 ),
             ));
         }
@@ -969,6 +983,9 @@ pub struct StreamingMatchedFilterBank {
     /// Lag-origin offset (the folded prefilters' group delay; 0 without
     /// prefilters).
     lead: usize,
+    /// Shortest accepted signal: the longest **original** (pre-fold)
+    /// template (see [`StreamingMatchedFilter::min_signal_len`]).
+    min_signal_len: usize,
     /// Template FFTs run at construction — stays put across clones,
     /// which share the spectra instead of recomputing them.
     template_ffts: usize,
@@ -998,7 +1015,8 @@ impl StreamingMatchedFilterBank {
     /// [`DspError::InvalidParameter`] for an invalid `block_len`.
     pub fn with_block_len(templates: &[&[f64]], block_len: usize) -> Result<Self, DspError> {
         let energies = Self::validate_templates(templates)?;
-        Self::build(templates, &energies, block_len, 0)
+        let longest = templates.iter().map(|t| t.len()).max().unwrap_or(0);
+        Self::build(templates, &energies, block_len, 0, longest)
     }
 
     /// Creates a bank with a zero-phase FIR prefilter folded into each
@@ -1057,7 +1075,8 @@ impl StreamingMatchedFilterBank {
         let longest = folded.iter().map(Vec::len).max().unwrap_or(0);
         let block = try_next_pow2(longest.saturating_mul(4))?;
         let refs: Vec<&[f64]> = folded.iter().map(Vec::as_slice).collect();
-        Self::build(&refs, &energies, block, delay.unwrap_or(0))
+        let min_signal_len = entries.iter().map(|(t, _)| t.len()).max().unwrap_or(0);
+        Self::build(&refs, &energies, block, delay.unwrap_or(0), min_signal_len)
     }
 
     /// Per-template emptiness/energy validation shared by the unfolded
@@ -1090,6 +1109,7 @@ impl StreamingMatchedFilterBank {
         energies: &[f64],
         block_len: usize,
         lead: usize,
+        min_signal_len: usize,
     ) -> Result<Self, DspError> {
         let template_len = templates.iter().map(|t| t.len()).max().unwrap_or(0);
         if block_len < template_len {
@@ -1117,6 +1137,7 @@ impl StreamingMatchedFilterBank {
             lanes,
             template_len,
             lead,
+            min_signal_len,
             template_ffts,
         })
     }
@@ -1137,6 +1158,14 @@ impl StreamingMatchedFilterBank {
     #[must_use]
     pub fn template_len(&self) -> usize {
         self.template_len
+    }
+
+    /// The shortest signal the bank accepts: the longest original
+    /// (pre-fold) template (see
+    /// [`StreamingMatchedFilter::min_signal_len`]).
+    #[must_use]
+    pub fn min_signal_len(&self) -> usize {
+        self.min_signal_len
     }
 
     /// The FFT block length — the peak transform size of every call.
@@ -1252,12 +1281,12 @@ impl StreamingMatchedFilterBank {
                 what: "xcorr signal",
             });
         }
-        if self.template_len > signal.len() {
+        if self.min_signal_len > signal.len() {
             return Err(DspError::invalid(
                 "template",
                 format!(
                     "template ({}) longer than signal ({})",
-                    self.template_len,
+                    self.min_signal_len,
                     signal.len()
                 ),
             ));
@@ -1413,12 +1442,12 @@ impl StreamingMatchedFilterBank {
                 what: "xcorr signal",
             });
         }
-        if !feed.finished && feed.pushed < self.template_len {
+        if !feed.finished && feed.pushed < self.min_signal_len {
             return Err(DspError::invalid(
                 "template",
                 format!(
                     "template ({}) longer than signal ({})",
-                    self.template_len, feed.pushed
+                    self.min_signal_len, feed.pushed
                 ),
             ));
         }
@@ -2009,6 +2038,96 @@ mod tests {
         assert!(StreamingMatchedFilter::with_zero_phase_prefilter(&[], bp.taps()).is_err());
         assert!(StreamingMatchedFilter::with_zero_phase_prefilter(&template, &[]).is_err());
         assert!(StreamingMatchedFilter::with_zero_phase_prefilter(&[0.0, 0.0], bp.taps()).is_err());
+    }
+
+    /// Folding lengthens the template by `taps − 1` samples but must not
+    /// raise the shortest accepted signal: a folded engine (single or
+    /// banked) accepts exactly the original template length and rejects
+    /// one sample fewer with the unfolded engine's typed error, one-shot
+    /// and through a chunk feed alike.
+    #[test]
+    fn folded_prefilter_keeps_the_unfolded_minimum_signal() {
+        let template: Vec<f64> = (0..61).map(|i| (i as f64 * 0.31).sin()).collect();
+        let taps =
+            crate::filter::FirFilter::band_pass(2_000.0, 6_400.0, 44_100.0, 31, Window::Hamming)
+                .unwrap();
+        let plain = StreamingMatchedFilter::new(&template).unwrap();
+        let folded =
+            StreamingMatchedFilter::with_zero_phase_prefilter(&template, taps.taps()).unwrap();
+        let bank =
+            StreamingMatchedFilterBank::with_zero_phase_prefilters(&[(&template, taps.taps())])
+                .unwrap();
+        assert!(folded.template_len() > template.len());
+        assert_eq!(folded.min_signal_len(), template.len());
+        assert_eq!(bank.min_signal_len(), template.len());
+        let fits: Vec<f64> = (0..template.len())
+            .map(|i| (i as f64 * 0.2).cos())
+            .collect();
+        let short = &fits[..fits.len() - 1];
+        let mut scratch = DspScratch::new();
+        let mut out = Vec::new();
+        let expected = plain
+            .correlate_into(short, &mut scratch, &mut out)
+            .unwrap_err();
+        assert!(matches!(expected, DspError::InvalidParameter { .. }));
+
+        // One-shot.
+        folded
+            .correlate_into(&fits, &mut scratch, &mut out)
+            .unwrap();
+        assert_eq!(out.len(), fits.len());
+        assert_eq!(
+            folded.correlate_into(short, &mut scratch, &mut out),
+            Err(expected.clone())
+        );
+        let mut lanes = vec![Vec::new()];
+        bank.correlate_into(&fits, &mut scratch, &mut lanes)
+            .unwrap();
+        assert_eq!(lanes[0], out);
+        assert_eq!(
+            bank.correlate_into(short, &mut scratch, &mut lanes),
+            Err(expected.clone())
+        );
+
+        // Chunked, one sample at a time.
+        let mut feed = folded.chunk_feed();
+        let mut chunked = Vec::new();
+        for s in &fits {
+            folded
+                .push_chunk_into(
+                    &mut feed,
+                    std::slice::from_ref(s),
+                    &mut scratch,
+                    &mut chunked,
+                )
+                .unwrap();
+        }
+        folded
+            .finish_chunks_into(&mut feed, &mut scratch, &mut chunked)
+            .unwrap();
+        assert_eq!(chunked, out);
+        feed.reset();
+        folded
+            .push_chunk_into(&mut feed, short, &mut scratch, &mut chunked)
+            .unwrap();
+        assert_eq!(
+            folded.finish_chunks_into(&mut feed, &mut scratch, &mut chunked),
+            Err(expected.clone())
+        );
+        let mut feed = bank.chunk_feed();
+        let mut banked = vec![Vec::new()];
+        bank.push_chunk_into(&mut feed, &fits, &mut scratch, &mut banked)
+            .unwrap();
+        bank.finish_chunks_into(&mut feed, &mut scratch, &mut banked)
+            .unwrap();
+        assert_eq!(banked[0], out);
+        feed.reset();
+        bank.push_chunk_into(&mut feed, short, &mut scratch, &mut banked)
+            .unwrap();
+        assert_eq!(
+            bank.finish_chunks_into(&mut feed, &mut scratch, &mut banked),
+            Err(expected)
+        );
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! symmetric FIR delays every frequency by exactly `(taps-1)/2` samples,
 //! which [`FirFilter::filter_zero_phase`] compensates.
 
-use crate::correlate::{ChunkFeed, OverlapSave};
+use crate::correlate::OverlapSave;
 use crate::fft::try_next_pow2;
 use crate::plan::DspScratch;
 use crate::window::Window;
@@ -351,57 +351,6 @@ impl ZeroPhaseFir {
         }
         self.core.run(signal, self.lead, signal.len(), scratch, out)
     }
-
-    /// Creates an online ingestion feed for this filter (see
-    /// [`ChunkFeed`]).
-    #[must_use]
-    pub fn chunk_feed(&self) -> ChunkFeed {
-        // The reversed-taps template length, recovered from the engine's
-        // block geometry (step = block - template + 1).
-        let template_len = self.core.block_len() - self.core.step() + 1;
-        ChunkFeed::new(self.lead, self.core.block_len(), template_len)
-    }
-
-    /// Pushes `chunk` (any length, empty included) into `feed`, appending
-    /// every filtered sample whose FFT block completed to `out`. After
-    /// [`ZeroPhaseFir::finish_chunks_into`], the concatenated output is
-    /// bit-identical to [`ZeroPhaseFir::filter_into`] over the
-    /// concatenated chunks, independent of the chunking.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DspError::InvalidParameter`] if `feed` was created by a
-    /// different engine or has already been finished.
-    pub fn push_chunk_into(
-        &self,
-        feed: &mut ChunkFeed,
-        chunk: &[f64],
-        scratch: &mut DspScratch,
-        out: &mut Vec<f64>,
-    ) -> Result<(), DspError> {
-        self.core.feed_push(feed, self.lead, chunk, scratch, out)
-    }
-
-    /// Flushes `feed`, appending the remaining filtered samples to `out`
-    /// (one output sample per pushed sample in total). The feed is then
-    /// finished; call [`ChunkFeed::reset`] to reuse it.
-    ///
-    /// # Errors
-    ///
-    /// Mirrors [`ZeroPhaseFir::filter_into`]: [`DspError::EmptyInput`]
-    /// when nothing was pushed, [`DspError::InvalidParameter`] when the
-    /// feed belongs to a different engine or was already finished.
-    pub fn finish_chunks_into(
-        &self,
-        feed: &mut ChunkFeed,
-        scratch: &mut DspScratch,
-        out: &mut Vec<f64>,
-    ) -> Result<(), DspError> {
-        if !feed.is_finished() && feed.pushed() == 0 {
-            return Err(DspError::EmptyInput { what: "FIR input" });
-        }
-        self.core.feed_finish(feed, self.lead, scratch, out)
-    }
 }
 
 fn sinc(x: f64) -> f64 {
@@ -609,62 +558,6 @@ mod tests {
         engine.filter_into(&signal, &mut scratch, &mut out).unwrap();
         assert_bit_close(&out, &lp.filter_zero_phase(&signal).unwrap());
         assert!(engine.filter_into(&[], &mut scratch, &mut out).is_err());
-    }
-
-    #[test]
-    fn chunked_fir_is_bit_identical_to_one_shot() {
-        let fs = 44_100.0;
-        let bp = FirFilter::band_pass(2_000.0, 6_400.0, fs, 127, Window::Hamming).unwrap();
-        let engine = ZeroPhaseFir::new(&bp).unwrap();
-        let signal: Vec<f64> = (0..2345)
-            .map(|i| (i as f64 * 0.13).sin() + 0.4 * (i as f64 * 0.031).cos())
-            .collect();
-        let mut scratch = DspScratch::new();
-        let mut reference = Vec::new();
-        engine
-            .filter_into(&signal, &mut scratch, &mut reference)
-            .unwrap();
-        for chunk_len in [1usize, 5, 127, 512, signal.len()] {
-            let mut feed = engine.chunk_feed();
-            let mut out = Vec::new();
-            for chunk in signal.chunks(chunk_len) {
-                engine
-                    .push_chunk_into(&mut feed, chunk, &mut scratch, &mut out)
-                    .unwrap();
-            }
-            engine
-                .finish_chunks_into(&mut feed, &mut scratch, &mut out)
-                .unwrap();
-            assert_eq!(out, reference, "chunk_len {chunk_len}");
-            // Reset gives a clean second stream on the same feed.
-            feed.reset();
-            let mut again = Vec::new();
-            engine
-                .push_chunk_into(&mut feed, &signal, &mut scratch, &mut again)
-                .unwrap();
-            engine
-                .finish_chunks_into(&mut feed, &mut scratch, &mut again)
-                .unwrap();
-            assert_eq!(again, reference);
-        }
-    }
-
-    #[test]
-    fn chunked_fir_rejects_empty_stream_and_foreign_feeds() {
-        let lp = FirFilter::low_pass(5_000.0, 44_100.0, 61, Window::Hamming).unwrap();
-        let engine = ZeroPhaseFir::new(&lp).unwrap();
-        let mut scratch = DspScratch::new();
-        let mut out = Vec::new();
-        let mut feed = engine.chunk_feed();
-        assert!(matches!(
-            engine.finish_chunks_into(&mut feed, &mut scratch, &mut out),
-            Err(DspError::EmptyInput { .. })
-        ));
-        let other = FirFilter::low_pass(5_000.0, 44_100.0, 31, Window::Hamming).unwrap();
-        let mut foreign = ZeroPhaseFir::new(&other).unwrap().chunk_feed();
-        assert!(engine
-            .push_chunk_into(&mut foreign, &[1.0], &mut scratch, &mut out)
-            .is_err());
     }
 
     #[test]
