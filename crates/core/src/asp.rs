@@ -307,6 +307,21 @@ impl DetectorCore {
     ) -> Result<(), HyperEarError> {
         out.clear();
         self.correlate_only(channel, scratch)?;
+        self.arrivals_for_estimator(estimator, scratch, out)
+    }
+
+    /// The detection epilogue over the correlation already in
+    /// `scratch.corr`, shared by one-shot and streaming detection: plain
+    /// extraction for `PlainXcorr` (and `McciFusion`, whose fusion runs
+    /// at the engine level), or — for the spectral-weighting estimators —
+    /// detection on a weighted copy with timing on the plain
+    /// correlation (see [`DetectorCore::detect_with_estimator`]).
+    fn arrivals_for_estimator(
+        &self,
+        estimator: TdoaEstimator,
+        scratch: &mut DetectScratch,
+        out: &mut Vec<BeaconArrival>,
+    ) -> Result<(), HyperEarError> {
         match estimator {
             TdoaEstimator::PlainXcorr | TdoaEstimator::McciFusion => self.arrivals_from_corr(
                 &scratch.corr,
@@ -431,12 +446,12 @@ impl DetectorCore {
     }
 
     /// [`DetectorCore::arrivals_guided`] over explicit buffers — the
-    /// form shared with [`StreamingDetector::finish_into`] and the
-    /// weighting branch of [`DetectorCore::detect_with_estimator`],
-    /// whose guide correlation lives inside the scratch itself. `kind`
-    /// selects the refine radius and whether the leading-edge echo rule
-    /// applies (see [`GuideKind`]).
-    #[allow(clippy::too_many_arguments)] // explicit scratch-buffer form shared by three call sites
+    /// form shared with the weighting branch of
+    /// [`DetectorCore::arrivals_for_estimator`], whose guide correlation
+    /// lives inside the scratch itself. `kind` selects the refine radius
+    /// and whether the leading-edge echo rule applies (see
+    /// [`GuideKind`]).
+    #[allow(clippy::too_many_arguments)] // explicit scratch-buffer form shared by two call sites
     fn arrivals_guided_into(
         &self,
         fused: &[f64],
@@ -709,16 +724,9 @@ impl BeaconDetector {
 pub struct StreamingDetector {
     core: std::sync::Arc<DetectorCore>,
     mf_feed: ChunkFeed,
-    scratch: DspScratch,
-    /// The accumulated normalized correlation (capacity `max_samples`).
-    corr: Vec<f64>,
-    mags: Vec<f64>,
-    peaks: Vec<Peak>,
-    peaks_scratch: Vec<Peak>,
-    est: EstimatorScratch,
-    /// Weighted copy of the correlation for the spectral-weighting
-    /// estimators (detection only; timing reads `corr`).
-    weighted: Vec<f64>,
+    /// The one-shot detector's buffers; `corr` accumulates the
+    /// normalized correlation (capacity `max_samples`, like `mags`).
+    scratch: DetectScratch,
     max_samples: usize,
     pushed: usize,
     finished: bool,
@@ -749,13 +757,11 @@ impl StreamingDetector {
         let mf_feed = core.filter.chunk_feed();
         Ok(StreamingDetector {
             mf_feed,
-            scratch: DspScratch::new(),
-            corr: Vec::with_capacity(max_samples),
-            mags: Vec::with_capacity(max_samples),
-            peaks: Vec::new(),
-            peaks_scratch: Vec::new(),
-            est: EstimatorScratch::new(),
-            weighted: Vec::new(),
+            scratch: DetectScratch {
+                corr: Vec::with_capacity(max_samples),
+                mags: Vec::with_capacity(max_samples),
+                ..DetectScratch::default()
+            },
             max_samples,
             pushed: 0,
             finished: false,
@@ -818,8 +824,8 @@ impl StreamingDetector {
         self.core.filter.push_chunk_normalized_into(
             &mut self.mf_feed,
             chunk,
-            &mut self.scratch,
-            &mut self.corr,
+            &mut self.scratch.scratch,
+            &mut self.scratch.corr,
         )?;
         self.pushed = needed;
         Ok(())
@@ -846,53 +852,27 @@ impl StreamingDetector {
         // one-shot detector's typed error.
         self.core.filter.finish_chunks_normalized_into(
             &mut self.mf_feed,
-            &mut self.scratch,
-            &mut self.corr,
+            &mut self.scratch.scratch,
+            &mut self.scratch.corr,
         )?;
-        debug_assert_eq!(self.corr.len(), self.pushed);
+        debug_assert_eq!(self.scratch.corr.len(), self.pushed);
         self.finished = true;
         // The accumulated correlation is bit-identical to the one-shot
-        // path's, so applying the configured per-channel estimator here
-        // keeps streaming == one-shot for PHAT / coherence weighting too
-        // (detect on the weighted copy, time on the plain correlation —
-        // see `DetectorCore::detect_with_estimator`). McciFusion needs
-        // every channel at once and the raw PCM is long discarded;
-        // per-channel streaming falls back to plain xcorr.
-        match self.core.estimator {
-            TdoaEstimator::PlainXcorr | TdoaEstimator::McciFusion => self.core.arrivals_from_corr(
-                &self.corr,
-                &mut self.mags,
-                &mut self.peaks_scratch,
-                &mut self.peaks,
-                out,
-            ),
-            TdoaEstimator::GccPhat | TdoaEstimator::SubbandCoherence => {
-                self.weighted.clear();
-                self.weighted.extend_from_slice(&self.corr);
-                self.core.apply_estimator(
-                    self.core.estimator,
-                    &mut self.weighted,
-                    &mut self.est,
-                )?;
-                self.core.arrivals_guided_into(
-                    &self.weighted,
-                    &self.corr,
-                    GuideKind::Weighted,
-                    &mut self.mags,
-                    &mut self.peaks_scratch,
-                    &mut self.peaks,
-                    out,
-                )
-            }
-        }
+        // path's, so the one-shot epilogue under the configured
+        // estimator keeps streaming == one-shot for PHAT / coherence
+        // weighting too. McciFusion needs every channel at once and the
+        // raw PCM is long discarded; per-channel streaming falls back to
+        // plain xcorr.
+        self.core
+            .arrivals_for_estimator(self.core.estimator, &mut self.scratch, out)
     }
 
     /// Returns the detector to its initial state for a new capture,
     /// keeping every buffer's capacity (no allocation).
     pub fn reset(&mut self) {
         self.mf_feed.reset();
-        self.corr.clear();
-        self.weighted.clear();
+        self.scratch.corr.clear();
+        self.scratch.weighted.clear();
         self.pushed = 0;
         self.finished = false;
     }
@@ -903,12 +883,7 @@ impl StreamingDetector {
     /// and the core's block geometry.
     #[must_use]
     pub fn working_set_bytes(&self) -> usize {
-        self.scratch.capacity_bytes()
-            + (self.corr.capacity() + self.mags.capacity() + self.weighted.capacity())
-                * std::mem::size_of::<f64>()
-            + (self.peaks.capacity() + self.peaks_scratch.capacity()) * std::mem::size_of::<Peak>()
-            + self.est.capacity_bytes()
-            + self.mf_feed.capacity_bytes()
+        self.scratch.capacity_bytes() + self.mf_feed.capacity_bytes()
     }
 }
 

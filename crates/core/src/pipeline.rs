@@ -6,7 +6,9 @@
 //! two-hyperbola triangulation → multi-slide aggregation → projected
 //! location estimation when the session used two statures.
 //!
-//! Two entry points:
+//! [`SessionEngine`] takes either input shape — a stereo
+//! [`SessionInput`] or an N-microphone [`ArraySessionInput`] — through
+//! one pipeline core, in two contracts:
 //!
 //! - [`SessionEngine::run`] (and the allocation-free
 //!   [`SessionEngine::run_into`]) — the raw pipeline; any unrecoverable
@@ -32,6 +34,7 @@ use hyperear_imu::analyze::{analyze_session_with, AnalyzeScratch, SessionAnalysi
 use hyperear_imu::quality::Rejection;
 use hyperear_imu::rotation::yaw_trace_into;
 use hyperear_util::pool::Pool;
+use sealed::CaptureView;
 use std::sync::Arc;
 
 /// Guard margin around inertially-detected movement windows when
@@ -75,6 +78,114 @@ pub struct ArraySessionInput<'a> {
     pub accel: &'a [Vec3],
     /// Raw gyroscope samples, rad/s.
     pub gyro: &'a [Vec3],
+}
+
+/// A session recording [`SessionEngine`] accepts: a stereo
+/// [`SessionInput`] or an N-microphone [`ArraySessionInput`] (sealed).
+///
+/// A stereo input is the primary pair of whatever array is configured:
+/// it is not checked against [`HyperEarConfig::array`] and never runs a
+/// DOA front-end, so its result carries no `pair_delays` and no
+/// `bearing`. An array input must supply exactly one channel per
+/// configured microphone and feeds the configured [`DoaFrontEnd`].
+pub trait SessionCapture: sealed::Sealed {}
+
+impl SessionCapture for SessionInput<'_> {}
+impl SessionCapture for ArraySessionInput<'_> {}
+
+/// Seals [`SessionCapture`]: the trait's one method hands the pipeline
+/// core a view that is nameable only inside this crate.
+pub(crate) mod sealed {
+    use crate::HyperEarError;
+    use hyperear_geom::{Vec3, MAX_MICS};
+
+    pub trait Sealed {
+        fn view(&self) -> CaptureView<'_>;
+    }
+
+    /// One capture as the pipeline core reads it: the channels as a
+    /// fixed-size prefix, so neither input shape allocates.
+    #[derive(Clone, Copy)]
+    pub struct CaptureView<'a> {
+        pub(crate) audio_sample_rate: f64,
+        pub(crate) channels: [&'a [f64]; MAX_MICS],
+        /// Channels supplied (may exceed `MAX_MICS` before validation;
+        /// only the first `MAX_MICS` are kept).
+        pub(crate) count: usize,
+        pub(crate) imu_sample_rate: f64,
+        pub(crate) accel: &'a [Vec3],
+        pub(crate) gyro: &'a [Vec3],
+        /// Whether the capture is an [`super::ArraySessionInput`].
+        pub(crate) is_array: bool,
+    }
+
+    impl CaptureView<'_> {
+        pub(crate) fn channels(&self) -> &[&[f64]] {
+            &self.channels[..self.count.min(MAX_MICS)]
+        }
+
+        /// Every channel must be as long as channel 0.
+        pub(crate) fn check_lengths(&self) -> Result<(), HyperEarError> {
+            let len0 = self.channels[0].len();
+            let Some((k, ch)) = self
+                .channels()
+                .iter()
+                .enumerate()
+                .find(|(_, ch)| ch.len() != len0)
+            else {
+                return Ok(());
+            };
+            Err(if self.is_array {
+                HyperEarError::invalid(
+                    "channels",
+                    format!(
+                        "channel length mismatch: channel {k} has {} samples, channel 0 has {len0}",
+                        ch.len()
+                    ),
+                )
+            } else {
+                HyperEarError::invalid(
+                    "left/right",
+                    format!("channel length mismatch: {len0} vs {}", ch.len()),
+                )
+            })
+        }
+    }
+}
+
+impl sealed::Sealed for SessionInput<'_> {
+    fn view(&self) -> CaptureView<'_> {
+        let mut channels: [&[f64]; MAX_MICS] = [&[]; MAX_MICS];
+        channels[0] = self.left;
+        channels[1] = self.right;
+        CaptureView {
+            audio_sample_rate: self.audio_sample_rate,
+            channels,
+            count: 2,
+            imu_sample_rate: self.imu_sample_rate,
+            accel: self.accel,
+            gyro: self.gyro,
+            is_array: false,
+        }
+    }
+}
+
+impl sealed::Sealed for ArraySessionInput<'_> {
+    fn view(&self) -> CaptureView<'_> {
+        let mut channels: [&[f64]; MAX_MICS] = [&[]; MAX_MICS];
+        for (slot, ch) in channels.iter_mut().zip(self.channels) {
+            *slot = ch;
+        }
+        CaptureView {
+            audio_sample_rate: self.audio_sample_rate,
+            channels,
+            count: self.channels.len(),
+            imu_sample_rate: self.imu_sample_rate,
+            accel: self.accel,
+            gyro: self.gyro,
+            is_array: true,
+        }
+    }
 }
 
 /// Which stature phase a slide belongs to.
@@ -198,9 +309,9 @@ pub struct SessionResult {
     /// monitored path escalated to a heavier estimator and its rerun won.
     pub estimator: TdoaEstimator,
     /// Per-pair session-median delays `t_i − t_j` (seconds) in
-    /// [`hyperear_geom::MicArray::pairs`] order — filled by the array
-    /// entry points ([`SessionEngine::run_array_into`]) when a DOA
-    /// front-end is active; empty on the classic two-channel path.
+    /// [`hyperear_geom::MicArray::pairs`] order — filled for an
+    /// [`ArraySessionInput`] when a DOA front-end is active; empty for a
+    /// stereo [`SessionInput`].
     pub pair_delays: Vec<f64>,
     /// The direction-finding prior from the configured
     /// [`DoaFrontEnd`], when one was active and its estimate succeeded.
@@ -346,64 +457,6 @@ impl SessionOutcome {
     }
 }
 
-/// The HyperEar engine: a validated configuration ready to process
-/// sessions.
-#[derive(Debug, Clone)]
-pub struct HyperEar {
-    config: HyperEarConfig,
-}
-
-impl HyperEar {
-    /// Creates an engine from a configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`HyperEarError::InvalidParameter`] for an invalid config.
-    pub fn new(config: HyperEarConfig) -> Result<Self, HyperEarError> {
-        config.validate()?;
-        Ok(HyperEar { config })
-    }
-
-    /// The configuration in use.
-    #[must_use]
-    pub fn config(&self) -> &HyperEarConfig {
-        &self.config
-    }
-
-    /// A reusable session engine for this configuration.
-    ///
-    /// The engine caches the beacon detector (matched filter, FFT plans,
-    /// scratch buffers) across sessions; callers processing many sessions
-    /// should hold one engine and call [`SessionEngine::run`] repeatedly
-    /// instead of [`HyperEar::run`], which builds a fresh engine per call.
-    #[must_use]
-    pub fn engine(&self) -> SessionEngine {
-        SessionEngine::from_validated_config(self.config.clone())
-    }
-
-    /// Processes one session.
-    ///
-    /// Convenience wrapper that builds a throwaway [`SessionEngine`];
-    /// results are identical to running the same input through a reused
-    /// engine.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`SessionEngine::run`].
-    pub fn run(&self, input: &SessionInput<'_>) -> Result<SessionResult, HyperEarError> {
-        self.engine().run(input)
-    }
-
-    /// Processes one N-microphone session with a throwaway engine.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`SessionEngine::run_array_into`].
-    pub fn run_array(&self, input: &ArraySessionInput<'_>) -> Result<SessionResult, HyperEarError> {
-        self.engine().run_array(input)
-    }
-}
-
 /// A reusable session-processing engine.
 ///
 /// Owns everything the pipeline needs between sessions: the validated
@@ -415,6 +468,10 @@ impl HyperEar {
 /// session, later sessions at the same sample rate reuse all of that
 /// state and [`SessionEngine::run_into`] performs no steady-state
 /// allocation on the default configuration.
+///
+/// Every entry point takes either [`SessionCapture`] shape and runs the
+/// same pipeline; `SessionEngine::new(config)?.run(&input)` is the
+/// one-shot form.
 #[derive(Debug, Clone)]
 pub struct SessionEngine {
     config: HyperEarConfig,
@@ -458,11 +515,7 @@ impl SessionEngine {
     /// Returns [`HyperEarError::InvalidParameter`] for an invalid config.
     pub fn new(config: HyperEarConfig) -> Result<Self, HyperEarError> {
         config.validate()?;
-        Ok(SessionEngine::from_validated_config(config))
-    }
-
-    fn from_validated_config(config: HyperEarConfig) -> Self {
-        SessionEngine {
+        Ok(SessionEngine {
             config,
             detector: None,
             scratch_right: DetectScratch::new(),
@@ -487,7 +540,7 @@ impl SessionEngine {
             geoms: Vec::new(),
             retry_slot: SessionOutcome::idle(),
             pool: None,
-        }
+        })
     }
 
     /// Attaches a work-stealing pool: subsequent sessions run the two
@@ -573,7 +626,7 @@ impl SessionEngine {
     /// - [`HyperEarError::NoUsableSlides`] when every detected slide was
     ///   rejected or unlocalizable,
     /// - plus propagated component errors.
-    pub fn run(&mut self, input: &SessionInput<'_>) -> Result<SessionResult, HyperEarError> {
+    pub fn run<C: SessionCapture>(&mut self, input: &C) -> Result<SessionResult, HyperEarError> {
         let mut out = SessionResult::empty();
         self.run_into(input, &mut out)?;
         Ok(out)
@@ -585,7 +638,7 @@ impl SessionEngine {
     /// [`crate::config::DegradationPolicy`]'s re-slide budget (the
     /// estimate is then re-aggregated from the surviving slides), and
     /// `Failed` with the typed reason otherwise.
-    pub fn run_monitored(&mut self, input: &SessionInput<'_>) -> SessionOutcome {
+    pub fn run_monitored<C: SessionCapture>(&mut self, input: &C) -> SessionOutcome {
         let mut outcome = SessionOutcome::idle();
         self.run_monitored_into(input, &mut outcome);
         outcome
@@ -604,10 +657,53 @@ impl SessionEngine {
     /// [`TdoaEstimator`]s (within the degradation policy's retry budget)
     /// and the best graded outcome wins — see
     /// [`SessionEngine::run_estimated_into`] for the estimator ladder.
-    pub fn run_monitored_into(&mut self, input: &SessionInput<'_>, slot: &mut SessionOutcome) {
-        self.escalated_monitored(slot, |engine, estimator, result| {
-            engine.run_estimated_into(input, estimator, result)
+    /// Each rerun walks one step up the [`TdoaEstimator::next_heavier`]
+    /// ladder, spending at most the degradation policy's retry budget;
+    /// the better graded outcome is kept (ties keep the cheaper, earlier
+    /// estimator), so escalation can never make a session worse. Clean
+    /// sessions grade `Ok` and never trigger a rerun, keeping the
+    /// clean-path cost identical to the non-escalating engine.
+    pub fn run_monitored_into<C: SessionCapture>(&mut self, input: &C, slot: &mut SessionOutcome) {
+        let capture = input.view();
+        let policy = self.config.estimator;
+        self.monitored_with(slot, |engine, result| {
+            engine.run_channels_into(&capture, policy.initial, result)
         });
+        if !policy.escalation {
+            return;
+        }
+        let min_confidence = self.config.degradation.min_confidence;
+        let escalate_below = policy.escalate_below;
+        let budget = self.config.degradation.retry_budget;
+        let mut current = policy.initial;
+        let mut attempts = 0usize;
+        while attempts < budget && needs_escalation(slot, min_confidence, escalate_below) {
+            let Some(next) = current.next_heavier() else {
+                break;
+            };
+            current = next;
+            attempts += 1;
+            let mut retry = std::mem::replace(&mut self.retry_slot, SessionOutcome::idle());
+            self.monitored_with(&mut retry, |engine, result| {
+                engine.run_channels_into(&capture, next, result)
+            });
+            if retry_improves(&retry, slot) {
+                std::mem::swap(slot, &mut retry);
+            }
+            self.retry_slot = retry;
+        }
+        if attempts > 0 {
+            match slot {
+                SessionOutcome::Degraded { diagnostics, .. } => {
+                    diagnostics.escalations = attempts;
+                }
+                SessionOutcome::Failed {
+                    diagnostics: Some(d),
+                    ..
+                } => d.escalations = attempts,
+                _ => {}
+            }
+        }
     }
 
     /// The monitored-contract core shared by the one-shot and streaming
@@ -770,13 +866,13 @@ impl SessionEngine {
     /// # Errors
     ///
     /// Same conditions as [`SessionEngine::run`].
-    pub fn run_into(
+    pub fn run_into<C: SessionCapture>(
         &mut self,
-        input: &SessionInput<'_>,
+        input: &C,
         out: &mut SessionResult,
     ) -> Result<(), HyperEarError> {
         let estimator = self.config.estimator.initial;
-        self.run_estimated_into(input, estimator, out)
+        self.run_channels_into(&input.view(), estimator, out)
     }
 
     /// [`SessionEngine::run_into`] with an explicit [`TdoaEstimator`]
@@ -786,24 +882,58 @@ impl SessionEngine {
     /// `PlainXcorr` is the conformance baseline (bit-identical to the
     /// pre-estimator-bank pipeline). `GccPhat` and `SubbandCoherence`
     /// re-weight each channel's correlation spectrum before arrival
-    /// extraction. `McciFusion` correlates both channels, solves the
+    /// extraction. `McciFusion` correlates every channel, solves the
     /// cross-channel alignment, and detects peaks on the fused
     /// correlation while timing each arrival on the channel's own
     /// correlation (fusing the timing itself would cancel the
-    /// inter-channel TDoA the pipeline measures). The MCCI path runs
-    /// sequentially even under an attached pool — the alignment solve
-    /// needs every channel's correlation — so it is deterministic at any
-    /// thread count.
+    /// inter-channel TDoA the pipeline measures), so its fusion gain
+    /// grows with an array's redundancy. The MCCI path runs sequentially
+    /// even under an attached pool — the alignment solve needs every
+    /// channel's correlation — so it is deterministic at any thread
+    /// count.
     ///
     /// # Errors
     ///
     /// Same conditions as [`SessionEngine::run`].
-    pub fn run_estimated_into(
+    pub fn run_estimated_into<C: SessionCapture>(
         &mut self,
-        input: &SessionInput<'_>,
+        input: &C,
         estimator: TdoaEstimator,
         out: &mut SessionResult,
     ) -> Result<(), HyperEarError> {
+        self.run_channels_into(&input.view(), estimator, out)
+    }
+
+    /// The pipeline core every entry point runs: validation, beacon
+    /// detection on every channel, [`SessionEngine::finish_from_arrivals`]
+    /// on the primary pair (channels 0 and 1, spanning device +y), and —
+    /// for an [`ArraySessionInput`] — the configured [`DoaFrontEnd`].
+    ///
+    /// Detection fans the channels out over the attached pool two at a
+    /// time against the engine's pre-assigned scratch pair; each
+    /// channel's arrivals depend only on its samples, so the lists are
+    /// bit-identical to the sequential loop at any thread count.
+    ///
+    /// Front-end failures that depend on the *data* (an extra channel
+    /// with no beacons, an infeasible pair delay) leave `bearing = None`
+    /// without failing the session — the prior is advisory, the
+    /// primary-pair estimate is not.
+    ///
+    /// # Errors
+    ///
+    /// [`HyperEarError::InvalidParameter`] when an array capture's
+    /// channel count disagrees with the configured array, channel
+    /// lengths mismatch or a sample rate is not positive, plus the
+    /// conditions of [`SessionEngine::run`].
+    fn run_channels_into(
+        &mut self,
+        capture: &CaptureView<'_>,
+        estimator: TdoaEstimator,
+        out: &mut SessionResult,
+    ) -> Result<(), HyperEarError> {
+        if capture.is_array {
+            crate::doa::validate_channel_count(&self.config.array, capture.count)?;
+        }
         out.slides.clear();
         out.upper = None;
         out.lower = None;
@@ -811,283 +941,40 @@ impl SessionEngine {
         out.projected = None;
         out.pair_delays.clear();
         out.bearing = None;
-        if input.left.len() != input.right.len() {
-            return Err(HyperEarError::invalid(
-                "left/right",
-                format!(
-                    "channel length mismatch: {} vs {}",
-                    input.left.len(),
-                    input.right.len()
-                ),
-            ));
-        }
-        if input.audio_sample_rate <= 0.0 || input.imu_sample_rate <= 0.0 {
+        capture.check_lengths()?;
+        if capture.audio_sample_rate <= 0.0 || capture.imu_sample_rate <= 0.0 {
             return Err(HyperEarError::invalid(
                 "sample rates",
                 "audio and IMU sample rates must be positive",
             ));
         }
 
-        // ---- Beacon detection (ASP). ------------------------------------
+        // ---- Beacon detection (ASP) on every channel. -------------------
         // The detector is cached across sessions; only a sample-rate
         // change forces a rebuild (new chirp template and band-pass).
         let rebuild = self
             .detector
             .as_ref()
-            .is_none_or(|d| d.sample_rate() != input.audio_sample_rate);
+            .is_none_or(|d| d.sample_rate() != capture.audio_sample_rate);
         if rebuild {
-            self.detector = Some(BeaconDetector::new(&self.config, input.audio_sample_rate)?);
+            self.detector = Some(BeaconDetector::new(
+                &self.config,
+                capture.audio_sample_rate,
+            )?);
         }
         let pool = self
             .pool
             .as_ref()
             .filter(|p| p.threads() > 1)
             .map(Arc::clone);
-        let detector = self.detector.as_mut().expect("detector just ensured");
-        if estimator == TdoaEstimator::McciFusion {
-            // Engine-level fusion: the alignment solve needs both
-            // channels' correlations, so this path is sequential by
-            // construction (deterministic at any thread count).
-            let (core, scratch) = detector.parts_mut();
-            let ws = &mut self.tdoa_scratch;
-            let channels = [input.left, input.right];
-            let n_live = mcci_prepare(
-                core,
-                scratch,
-                ws,
-                self.config.estimator.mcci_max_lag,
-                &channels,
-            )?;
-            mcci_extract(core, scratch, ws, n_live, 0, &mut self.arr_left)?;
-            mcci_extract(core, scratch, ws, n_live, 1, &mut self.arr_right)?;
-        } else if let Some(pool) = &pool {
-            // Concurrent per-channel detection: one shared read-only
-            // core, one private scratch per channel. Detection is `&self`
-            // on the core, so the only mutable state each side touches is
-            // its own scratch and arrival list — results are
-            // bit-identical to the sequential calls below.
-            let (core, scratch_left) = detector.parts_mut();
-            let scratch_right = &mut self.scratch_right;
-            let arr_left = &mut self.arr_left;
-            let arr_right = &mut self.arr_right;
-            let (r_left, r_right) = pool.join(
-                || core.detect_with_estimator(input.left, estimator, scratch_left, arr_left),
-                || core.detect_with_estimator(input.right, estimator, scratch_right, arr_right),
-            );
-            r_left?;
-            r_right?;
-        } else {
-            let (core, scratch) = detector.parts_mut();
-            core.detect_with_estimator(input.left, estimator, scratch, &mut self.arr_left)?;
-            core.detect_with_estimator(input.right, estimator, scratch, &mut self.arr_right)?;
+        let channels = capture.channels();
+        // Grow-only: a stereo capture on an array config leaves the
+        // extra lists (and their warm capacity) untouched.
+        let extra = channels.len() - 2;
+        if self.arr_extra.len() < extra {
+            self.arr_extra.resize_with(extra, Vec::new);
         }
-        self.finish_from_arrivals(
-            input.audio_sample_rate,
-            input.left.len(),
-            input.imu_sample_rate,
-            input.accel,
-            input.gyro,
-            out,
-        )?;
-        out.estimator = estimator;
-        Ok(())
-    }
-
-    /// Processes one N-microphone session, allocating the result.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`SessionEngine::run_array_into`].
-    pub fn run_array(
-        &mut self,
-        input: &ArraySessionInput<'_>,
-    ) -> Result<SessionResult, HyperEarError> {
-        let mut out = SessionResult::empty();
-        self.run_array_into(input, &mut out)?;
-        Ok(out)
-    }
-
-    /// The monitored (policy-graded, never-panicking) form of
-    /// [`SessionEngine::run_array`] — the array sibling of
-    /// [`SessionEngine::run_monitored`].
-    pub fn run_array_monitored(&mut self, input: &ArraySessionInput<'_>) -> SessionOutcome {
-        let mut outcome = SessionOutcome::idle();
-        self.run_array_monitored_into(input, &mut outcome);
-        outcome
-    }
-
-    /// Allocation-free form of [`SessionEngine::run_array_monitored`]:
-    /// the outcome lands in a caller-owned slot whose previous result
-    /// storage is scavenged and reused. Applies the same
-    /// estimator-escalation policy as
-    /// [`SessionEngine::run_monitored_into`].
-    pub fn run_array_monitored_into(
-        &mut self,
-        input: &ArraySessionInput<'_>,
-        slot: &mut SessionOutcome,
-    ) {
-        self.escalated_monitored(slot, |engine, estimator, result| {
-            engine.run_array_estimated_into(input, estimator, result)
-        });
-    }
-
-    /// The estimator-escalation wrapper around the monitored contract:
-    /// runs the session with the configured initial estimator, and — when
-    /// escalation is enabled and the graded outcome shows acoustic
-    /// trouble — reruns it with the next heavier estimator up the
-    /// [`TdoaEstimator::next_heavier`] ladder, spending at most the
-    /// degradation policy's retry budget. After each rerun the better
-    /// graded outcome is kept (ties keep the cheaper, earlier estimator),
-    /// so escalation can never make a session worse. Clean sessions grade
-    /// `Ok` and never trigger a rerun, keeping the clean-path cost
-    /// identical to the non-escalating engine.
-    fn escalated_monitored<F>(&mut self, slot: &mut SessionOutcome, mut run: F)
-    where
-        F: FnMut(&mut Self, TdoaEstimator, &mut SessionResult) -> Result<(), HyperEarError>,
-    {
-        let policy = self.config.estimator;
-        self.monitored_with(slot, |engine, result| run(engine, policy.initial, result));
-        if !policy.escalation {
-            return;
-        }
-        let min_confidence = self.config.degradation.min_confidence;
-        let escalate_below = policy.escalate_below;
-        let budget = self.config.degradation.retry_budget;
-        let mut current = policy.initial;
-        let mut attempts = 0usize;
-        while attempts < budget && needs_escalation(slot, min_confidence, escalate_below) {
-            let Some(next) = current.next_heavier() else {
-                break;
-            };
-            current = next;
-            attempts += 1;
-            let mut retry = std::mem::replace(&mut self.retry_slot, SessionOutcome::idle());
-            self.monitored_with(&mut retry, |engine, result| run(engine, next, result));
-            if retry_improves(&retry, slot) {
-                std::mem::swap(slot, &mut retry);
-            }
-            self.retry_slot = retry;
-        }
-        if attempts > 0 {
-            match slot {
-                SessionOutcome::Degraded { diagnostics, .. } => {
-                    diagnostics.escalations = attempts;
-                }
-                SessionOutcome::Failed {
-                    diagnostics: Some(d),
-                    ..
-                } => d.escalations = attempts,
-                _ => {}
-            }
-        }
-    }
-
-    /// Allocation-free N-microphone session processing over the
-    /// configured [`hyperear_geom::MicArray`].
-    ///
-    /// Channels 0 and 1 — the primary pair, spanning device +y — drive
-    /// the full slide pipeline exactly as [`SessionEngine::run_into`].
-    /// When the configured array is the two-microphone compatibility
-    /// preset with no DOA front-end, this method delegates to
-    /// `run_into` verbatim, so results are bit-identical to the stereo
-    /// path (pinned by the conformance suite). Additional channels are
-    /// beacon-detected — fanned out over the attached pool two at a
-    /// time against the engine's pre-assigned scratch pair — and feed
-    /// the configured [`DoaFrontEnd`], which attaches the per-pair
-    /// session delays and a [`BearingPrior`] to the result.
-    ///
-    /// Front-end failures that depend on the *data* (an extra channel
-    /// with no beacons, an infeasible pair delay) leave
-    /// `bearing = None` without failing the session — the prior is
-    /// advisory, the primary-pair estimate is not. Configuration-level
-    /// mismatches are typed errors.
-    ///
-    /// # Errors
-    ///
-    /// [`HyperEarError::InvalidParameter`] when the channel count
-    /// disagrees with the configured array or channel lengths mismatch,
-    /// plus the conditions of [`SessionEngine::run_into`].
-    pub fn run_array_into(
-        &mut self,
-        input: &ArraySessionInput<'_>,
-        out: &mut SessionResult,
-    ) -> Result<(), HyperEarError> {
-        let estimator = self.config.estimator.initial;
-        self.run_array_estimated_into(input, estimator, out)
-    }
-
-    /// [`SessionEngine::run_array_into`] with an explicit
-    /// [`TdoaEstimator`] — the array sibling of
-    /// [`SessionEngine::run_estimated_into`]. Under `McciFusion` *every*
-    /// configured channel joins the cross-channel alignment solve, so the
-    /// fusion gain grows with the array's redundancy.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`SessionEngine::run_array_into`].
-    pub fn run_array_estimated_into(
-        &mut self,
-        input: &ArraySessionInput<'_>,
-        estimator: TdoaEstimator,
-        out: &mut SessionResult,
-    ) -> Result<(), HyperEarError> {
-        let array = self.config.array;
-        crate::doa::validate_channel_count(&array, input.channels.len())?;
-        if array.len() == 2 && self.config.doa_front_end == DoaFrontEnd::None {
-            let two = SessionInput {
-                audio_sample_rate: input.audio_sample_rate,
-                left: input.channels[0],
-                right: input.channels[1],
-                imu_sample_rate: input.imu_sample_rate,
-                accel: input.accel,
-                gyro: input.gyro,
-            };
-            return self.run_estimated_into(&two, estimator, out);
-        }
-        out.slides.clear();
-        out.upper = None;
-        out.lower = None;
-        out.stature_drop = None;
-        out.projected = None;
-        out.pair_delays.clear();
-        out.bearing = None;
-        let len0 = input.channels[0].len();
-        if let Some((k, ch)) = input
-            .channels
-            .iter()
-            .enumerate()
-            .find(|(_, ch)| ch.len() != len0)
-        {
-            return Err(HyperEarError::invalid(
-                "channels",
-                format!(
-                    "channel length mismatch: channel {k} has {} samples, channel 0 has {len0}",
-                    ch.len()
-                ),
-            ));
-        }
-        if input.audio_sample_rate <= 0.0 || input.imu_sample_rate <= 0.0 {
-            return Err(HyperEarError::invalid(
-                "sample rates",
-                "audio and IMU sample rates must be positive",
-            ));
-        }
-
-        // ---- Beacon detection on every channel. -------------------------
-        let rebuild = self
-            .detector
-            .as_ref()
-            .is_none_or(|d| d.sample_rate() != input.audio_sample_rate);
-        if rebuild {
-            self.detector = Some(BeaconDetector::new(&self.config, input.audio_sample_rate)?);
-        }
-        let pool = self
-            .pool
-            .as_ref()
-            .filter(|p| p.threads() > 1)
-            .map(Arc::clone);
-        self.arr_extra
-            .resize_with(array.len().saturating_sub(2), Vec::new);
+        let arr_extra = &mut self.arr_extra[..extra];
         let detector = self.detector.as_mut().expect("detector just ensured");
         if estimator == TdoaEstimator::McciFusion {
             // Engine-level fusion over every channel; sequential by
@@ -1099,11 +986,11 @@ impl SessionEngine {
                 scratch,
                 ws,
                 self.config.estimator.mcci_max_lag,
-                input.channels,
+                channels,
             )?;
             mcci_extract(core, scratch, ws, n_live, 0, &mut self.arr_left)?;
             mcci_extract(core, scratch, ws, n_live, 1, &mut self.arr_right)?;
-            for (k, slot) in self.arr_extra.iter_mut().enumerate() {
+            for (k, slot) in arr_extra.iter_mut().enumerate() {
                 mcci_extract(core, scratch, ws, n_live, k + 2, slot)?;
             }
         } else {
@@ -1111,30 +998,12 @@ impl SessionEngine {
             let scratch_b = &mut self.scratch_right;
             let arr_left = &mut self.arr_left;
             let arr_right = &mut self.arr_right;
-            let arr_extra = self.arr_extra.as_mut_slice();
             if let Some(pool) = &pool {
-                // Fan the N detections out two at a time: one shared
-                // read-only core, the engine's two private scratches. Each
-                // channel's arrivals depend only on its samples, never on
-                // scratch history, so the lists are bit-identical to the
-                // sequential loop below at any thread count.
+                // One shared read-only core (detection is `&self` on
+                // it), the engine's two private scratches.
                 let (r_left, r_right) = pool.join(
-                    || {
-                        core.detect_with_estimator(
-                            input.channels[0],
-                            estimator,
-                            scratch_a,
-                            arr_left,
-                        )
-                    },
-                    || {
-                        core.detect_with_estimator(
-                            input.channels[1],
-                            estimator,
-                            scratch_b,
-                            arr_right,
-                        )
-                    },
+                    || core.detect_with_estimator(channels[0], estimator, scratch_a, arr_left),
+                    || core.detect_with_estimator(channels[1], estimator, scratch_b, arr_right),
                 );
                 r_left?;
                 r_right?;
@@ -1144,17 +1013,10 @@ impl SessionEngine {
                     let (a, tail) = rest.split_at_mut(1);
                     let (b, tail) = tail.split_at_mut(1);
                     let (ra, rb) = pool.join(
+                        || core.detect_with_estimator(channels[k], estimator, scratch_a, &mut a[0]),
                         || {
                             core.detect_with_estimator(
-                                input.channels[k],
-                                estimator,
-                                scratch_a,
-                                &mut a[0],
-                            )
-                        },
-                        || {
-                            core.detect_with_estimator(
-                                input.channels[k + 1],
+                                channels[k + 1],
                                 estimator,
                                 scratch_b,
                                 &mut b[0],
@@ -1167,26 +1029,28 @@ impl SessionEngine {
                     k += 2;
                 }
                 if let Some(last) = rest.first_mut() {
-                    core.detect_with_estimator(input.channels[k], estimator, scratch_a, last)?;
+                    core.detect_with_estimator(channels[k], estimator, scratch_a, last)?;
                 }
             } else {
-                core.detect_with_estimator(input.channels[0], estimator, scratch_a, arr_left)?;
-                core.detect_with_estimator(input.channels[1], estimator, scratch_a, arr_right)?;
+                core.detect_with_estimator(channels[0], estimator, scratch_a, arr_left)?;
+                core.detect_with_estimator(channels[1], estimator, scratch_a, arr_right)?;
                 for (k, slot) in arr_extra.iter_mut().enumerate() {
-                    core.detect_with_estimator(input.channels[k + 2], estimator, scratch_a, slot)?;
+                    core.detect_with_estimator(channels[k + 2], estimator, scratch_a, slot)?;
                 }
             }
         }
         self.finish_from_arrivals(
-            input.audio_sample_rate,
-            len0,
-            input.imu_sample_rate,
-            input.accel,
-            input.gyro,
+            capture.audio_sample_rate,
+            channels[0].len(),
+            capture.imu_sample_rate,
+            capture.accel,
+            capture.gyro,
             out,
         )?;
         out.estimator = estimator;
-        self.attach_bearing(input, out);
+        if capture.is_array {
+            self.attach_bearing(capture, out);
+        }
         Ok(())
     }
 
@@ -1195,7 +1059,7 @@ impl SessionEngine {
     /// channels (phase tracking), attaching the per-pair delays and the
     /// bearing prior to the result. Data-dependent front-end failures
     /// leave `bearing = None`; the session result stands either way.
-    fn attach_bearing(&self, input: &ArraySessionInput<'_>, out: &mut SessionResult) {
+    fn attach_bearing(&self, capture: &CaptureView<'_>, out: &mut SessionResult) {
         let array = self.config.array;
         let c = self.config.speed_of_sound;
         let mut delays = [0.0f64; MAX_PAIRS];
@@ -1214,8 +1078,8 @@ impl SessionEngine {
                 // Phase is only meaningful while the geometry holds
                 // still: probe the initial stationary hold, before the
                 // first detected movement.
-                let fs = input.audio_sample_rate;
-                let full = input.channels[0].len();
+                let fs = capture.audio_sample_rate;
+                let full = capture.channels[0].len();
                 let hold_end = self
                     .movements
                     .first()
@@ -1229,7 +1093,7 @@ impl SessionEngine {
                     prefix = full;
                 }
                 let mut chans: [&[f64]; MAX_MICS] = [&[]; MAX_MICS];
-                for (k, ch) in input.channels.iter().enumerate() {
+                for (k, ch) in capture.channels().iter().enumerate() {
                     chans[k] = &ch[..prefix];
                 }
                 crate::doa::phase_pair_delays(
@@ -1932,7 +1796,7 @@ mod tests {
             .seed(11)
             .render()
             .unwrap();
-        let engine = HyperEar::new(HyperEarConfig::galaxy_s4()).unwrap();
+        let mut engine = SessionEngine::new(HyperEarConfig::galaxy_s4()).unwrap();
         let result = engine.run(&input(&rec)).unwrap();
         assert!(result.beacons_left >= 10);
         assert_eq!(result.slides.len(), 2);
@@ -1960,7 +1824,7 @@ mod tests {
             .seed(12)
             .render()
             .unwrap();
-        let engine = HyperEar::new(HyperEarConfig::galaxy_s4()).unwrap();
+        let mut engine = SessionEngine::new(HyperEarConfig::galaxy_s4()).unwrap();
         let result = engine.run(&input(&rec)).unwrap();
         // Speaker +23 ppm, phone ADC +12 ppm: recorded period offset is
         // (1+23e-6)/(1+12e-6) − 1 ≈ +11 ppm... measured on the *nominal*
@@ -1984,7 +1848,7 @@ mod tests {
             .seed(13)
             .render()
             .unwrap();
-        let engine = HyperEar::new(HyperEarConfig::galaxy_s4()).unwrap();
+        let mut engine = SessionEngine::new(HyperEarConfig::galaxy_s4()).unwrap();
         let result = engine.run(&input(&rec)).unwrap();
         assert!(result.upper.is_some());
         assert!(result.lower.is_some());
@@ -2011,7 +1875,7 @@ mod tests {
         let mut array_engine = SessionEngine::new(HyperEarConfig::galaxy_s4()).unwrap();
         let stereo = stereo_engine.run_monitored(&input(&rec));
         let chans: [&[f64]; 2] = [&rec.audio.left, &rec.audio.right];
-        let array = array_engine.run_array_monitored(&ArraySessionInput {
+        let array = array_engine.run_monitored(&ArraySessionInput {
             audio_sample_rate: rec.audio.sample_rate,
             channels: &chans,
             imu_sample_rate: rec.imu.sample_rate,
@@ -2037,7 +1901,7 @@ mod tests {
         let mut engine = SessionEngine::new(config).unwrap();
         let refs: Vec<&[f64]> = rec.audio.channels.iter().map(|c| c.as_slice()).collect();
         let result = engine
-            .run_array(&ArraySessionInput {
+            .run(&ArraySessionInput {
                 audio_sample_rate: rec.audio.sample_rate,
                 channels: &refs,
                 imu_sample_rate: rec.imu.sample_rate,
@@ -2069,6 +1933,49 @@ mod tests {
     }
 
     #[test]
+    fn stereo_input_is_the_primary_pair_on_any_array_config() {
+        use hyperear_geom::devices;
+        use hyperear_geom::MicArray;
+        let separation = devices::TABLET_TRIANGLE.mic_separation;
+        let rec = ScenarioBuilder::new(PhoneModel::galaxy_s4())
+            .environment(Environment::anechoic())
+            .speaker_range(3.0)
+            .slides(2)
+            .seed(22)
+            .render_array(&MicArray::triangle(separation))
+            .unwrap();
+        let (left, right) = (&rec.audio.channels[0], &rec.audio.channels[1]);
+        // A stereo input on a three-mic Planar config is neither checked
+        // against the array's channel count nor fed to the DOA front-end.
+        let tablet = HyperEarConfig::for_device(devices::TABLET_TRIANGLE);
+        assert_eq!(tablet.doa_front_end, DoaFrontEnd::Planar);
+        let stereo = SessionEngine::new(tablet)
+            .unwrap()
+            .run_monitored(&SessionInput {
+                audio_sample_rate: rec.audio.sample_rate,
+                left,
+                right,
+                imu_sample_rate: rec.imu.sample_rate,
+                accel: &rec.imu.accel,
+                gyro: &rec.imu.gyro,
+            });
+        let chans: [&[f64]; 2] = [left, right];
+        let pair = SessionEngine::new(HyperEarConfig::for_array(MicArray::two_mic(separation)))
+            .unwrap()
+            .run_monitored(&ArraySessionInput {
+                audio_sample_rate: rec.audio.sample_rate,
+                channels: &chans,
+                imu_sample_rate: rec.imu.sample_rate,
+                accel: &rec.imu.accel,
+                gyro: &rec.imu.gyro,
+            });
+        assert_eq!(stereo, pair);
+        let result = stereo.result().expect("usable outcome");
+        assert!(result.bearing.is_none());
+        assert!(result.pair_delays.is_empty());
+    }
+
+    #[test]
     fn compact_array_session_attaches_phase_bearing() {
         use crate::config::DoaFrontEnd;
         use hyperear_geom::MicArray;
@@ -2090,7 +1997,7 @@ mod tests {
         let mut engine = SessionEngine::new(config).unwrap();
         let refs: Vec<&[f64]> = rec.audio.channels.iter().map(|c| c.as_slice()).collect();
         let result = engine
-            .run_array(&ArraySessionInput {
+            .run(&ArraySessionInput {
                 audio_sample_rate: rec.audio.sample_rate,
                 channels: &refs,
                 imu_sample_rate: rec.imu.sample_rate,
@@ -2120,7 +2027,7 @@ mod tests {
         let mut engine = SessionEngine::new(HyperEarConfig::galaxy_s4()).unwrap();
         let chans: [&[f64]; 3] = [&rec.audio.left, &rec.audio.right, &rec.audio.left];
         let err = engine
-            .run_array(&ArraySessionInput {
+            .run(&ArraySessionInput {
                 audio_sample_rate: rec.audio.sample_rate,
                 channels: &chans,
                 imu_sample_rate: rec.imu.sample_rate,
@@ -2143,7 +2050,7 @@ mod tests {
             .seed(14)
             .render()
             .unwrap();
-        let engine = HyperEar::new(HyperEarConfig::galaxy_s4()).unwrap();
+        let mut engine = SessionEngine::new(HyperEarConfig::galaxy_s4()).unwrap();
         let mut bad = input(&rec);
         bad.left = &rec.audio.left[..100];
         assert!(engine.run(&bad).is_err());
@@ -2158,7 +2065,7 @@ mod tests {
             .seed(15)
             .render()
             .unwrap();
-        let engine = HyperEar::new(HyperEarConfig::galaxy_s4()).unwrap();
+        let mut engine = SessionEngine::new(HyperEarConfig::galaxy_s4()).unwrap();
         let silent_left = vec![0.0; rec.audio.left.len()];
         let silent_right = vec![0.0; rec.audio.right.len()];
         let mut silent = input(&rec);
@@ -2204,7 +2111,7 @@ mod tests {
             .seed(16)
             .render()
             .unwrap();
-        let engine = HyperEar::new(HyperEarConfig::galaxy_s4()).unwrap();
+        let mut engine = SessionEngine::new(HyperEarConfig::galaxy_s4()).unwrap();
         match engine.run(&input(&rec)) {
             Err(HyperEarError::NoUsableSlides { detected, rejected }) => {
                 assert_eq!(detected, 2);
@@ -2216,15 +2123,15 @@ mod tests {
         // but the session completes).
         let mut cfg = HyperEarConfig::galaxy_s4();
         cfg.quality_gate_enabled = false;
-        let engine = HyperEar::new(cfg).unwrap();
+        let mut engine = SessionEngine::new(cfg).unwrap();
         let result = engine.run(&input(&rec)).unwrap();
         assert!(result.upper.is_some());
     }
 
     #[test]
     fn reused_engine_matches_one_shot_runs() {
-        let engine = HyperEar::new(HyperEarConfig::galaxy_s4()).unwrap();
-        let mut session = engine.engine();
+        let fresh = || SessionEngine::new(HyperEarConfig::galaxy_s4()).unwrap();
+        let mut session = fresh();
         assert_eq!(session.config().mic_separation, 0.1366);
         for seed in [21, 22] {
             let rec = ScenarioBuilder::new(PhoneModel::galaxy_s4())
@@ -2235,8 +2142,8 @@ mod tests {
                 .render()
                 .unwrap();
             let reused = session.run(&input(&rec)).unwrap();
-            let fresh = engine.run(&input(&rec)).unwrap();
-            assert_eq!(reused, fresh, "seed {seed}");
+            let one_shot = fresh().run(&input(&rec)).unwrap();
+            assert_eq!(reused, one_shot, "seed {seed}");
         }
         // A standalone engine built from the same config behaves the same.
         let mut standalone = SessionEngine::new(HyperEarConfig::galaxy_s4()).unwrap();
@@ -2249,14 +2156,14 @@ mod tests {
             .unwrap();
         assert_eq!(
             standalone.run(&input(&rec)).unwrap(),
-            engine.run(&input(&rec)).unwrap()
+            fresh().run(&input(&rec)).unwrap()
         );
     }
 
     #[test]
     fn run_into_reuses_result_storage() {
-        let engine = HyperEar::new(HyperEarConfig::galaxy_s4()).unwrap();
-        let mut session = engine.engine();
+        let fresh = || SessionEngine::new(HyperEarConfig::galaxy_s4()).unwrap();
+        let mut session = fresh();
         let mut out = SessionResult::empty();
         for seed in [21, 22] {
             let rec = ScenarioBuilder::new(PhoneModel::galaxy_s4())
@@ -2267,8 +2174,8 @@ mod tests {
                 .render()
                 .unwrap();
             session.run_into(&input(&rec), &mut out).unwrap();
-            let fresh = engine.run(&input(&rec)).unwrap();
-            assert_eq!(out, fresh, "seed {seed}");
+            let one_shot = fresh().run(&input(&rec)).unwrap();
+            assert_eq!(out, one_shot, "seed {seed}");
         }
     }
 
@@ -2281,8 +2188,7 @@ mod tests {
             .seed(11)
             .render()
             .unwrap();
-        let engine = HyperEar::new(HyperEarConfig::galaxy_s4()).unwrap();
-        let mut session = engine.engine();
+        let mut session = SessionEngine::new(HyperEarConfig::galaxy_s4()).unwrap();
         let outcome = session.run_monitored(&input(&rec));
         assert!(outcome.is_usable());
         match &outcome {
@@ -2292,7 +2198,10 @@ mod tests {
             other => panic!("expected Ok, got {other:?}"),
         }
         // A monitored run's result matches the raw pipeline's.
-        let raw = engine.run(&input(&rec)).unwrap();
+        let raw = SessionEngine::new(HyperEarConfig::galaxy_s4())
+            .unwrap()
+            .run(&input(&rec))
+            .unwrap();
         assert_eq!(outcome.result(), Some(&raw));
     }
 
@@ -2305,7 +2214,7 @@ mod tests {
             .seed(15)
             .render()
             .unwrap();
-        let mut session = HyperEar::new(HyperEarConfig::galaxy_s4()).unwrap().engine();
+        let mut session = SessionEngine::new(HyperEarConfig::galaxy_s4()).unwrap();
         let silent_left = vec![0.0; rec.audio.left.len()];
         let silent_right = vec![0.0; rec.audio.right.len()];
         let mut silent = input(&rec);
@@ -2331,7 +2240,7 @@ mod tests {
             .seed(16)
             .render()
             .unwrap();
-        let mut session = HyperEar::new(HyperEarConfig::galaxy_s4()).unwrap().engine();
+        let mut session = SessionEngine::new(HyperEarConfig::galaxy_s4()).unwrap();
         match session.run_monitored(&input(&rec)) {
             SessionOutcome::Failed {
                 reason: HyperEarError::NoUsableSlides { .. },
@@ -2359,7 +2268,7 @@ mod tests {
         cfg.degradation.min_confidence = 1.0;
         cfg.degradation.retry_budget = 2;
         cfg.degradation.min_slides = 1;
-        let mut session = HyperEar::new(cfg).unwrap().engine();
+        let mut session = SessionEngine::new(cfg).unwrap();
         match session.run_monitored(&input(&rec)) {
             SessionOutcome::Degraded {
                 result,
@@ -2402,7 +2311,7 @@ mod tests {
         let mut cfg = HyperEarConfig::galaxy_s4();
         cfg.degradation.min_confidence = 1.0;
         cfg.degradation.enabled = false;
-        let mut session = HyperEar::new(cfg).unwrap().engine();
+        let mut session = SessionEngine::new(cfg).unwrap();
         let outcome = session.run_monitored(&input(&rec));
         let result = outcome.result().expect("usable");
         assert!(result.slides.iter().all(|s| !s.dropped));
@@ -2410,8 +2319,7 @@ mod tests {
 
     #[test]
     fn outcome_tally_aggregates_batches() {
-        let engine = HyperEar::new(HyperEarConfig::galaxy_s4()).unwrap();
-        let mut session = engine.engine();
+        let mut session = SessionEngine::new(HyperEarConfig::galaxy_s4()).unwrap();
         let mut tally = OutcomeTally::new();
         let rec = ScenarioBuilder::new(PhoneModel::galaxy_s4())
             .environment(Environment::anechoic())
@@ -2522,14 +2430,14 @@ mod tests {
     fn engine_construction_validates() {
         let mut cfg = HyperEarConfig::galaxy_s4();
         cfg.mic_separation = 0.0;
-        assert!(HyperEar::new(cfg).is_err());
-        let engine = HyperEar::new(HyperEarConfig::galaxy_s4()).unwrap();
+        assert!(SessionEngine::new(cfg).is_err());
+        let engine = SessionEngine::new(HyperEarConfig::galaxy_s4()).unwrap();
         assert_eq!(engine.config().mic_separation, 0.1366);
     }
 
     #[test]
     fn cold_engine_reports_empty_working_set() {
-        let engine = HyperEar::new(HyperEarConfig::galaxy_s4()).unwrap().engine();
+        let engine = SessionEngine::new(HyperEarConfig::galaxy_s4()).unwrap();
         assert_eq!(engine.peak_fft_len(), None);
         assert_eq!(engine.working_set_bytes(), 0);
     }

@@ -49,11 +49,11 @@
 //! recording path, which is also the only real-time capture the paper's
 //! hardware offers. N-microphone [`hyperear_geom::MicArray`] sessions
 //! (and the DOA front-ends that ride on them) go through the one-shot
-//! [`SessionEngine::run_array_into`] or the batch
-//! [`crate::batch::BatchEngine::run_array_batch_into`] path instead;
-//! the extra [`crate::pipeline::SessionResult`] fields those populate
-//! (`pair_delays`, `bearing`) simply pass through a streamed outcome
-//! empty/`None`.
+//! [`SessionEngine::run_into`] or the batch
+//! [`crate::batch::BatchEngine::run_batch_into`] path with an
+//! [`crate::pipeline::ArraySessionInput`] instead; a streamed outcome,
+//! like a stereo one-shot outcome, carries empty `pair_delays` and no
+//! `bearing`.
 //!
 //! ```
 //! use hyperear::config::HyperEarConfig;

@@ -2,7 +2,7 @@
 # Tier-1 verification gate: hermetic build + full test suite, plus lint
 # and formatting when the components are installed. Run from anywhere.
 #
-#   scripts/verify.sh              # tier-1 gate
+#   scripts/verify.sh              # tier-1 gate (includes building perfbench)
 #   scripts/verify.sh --faults     # tier-1 gate + seeded fault-matrix sweep
 #   scripts/verify.sh --bench      # tier-1 gate + bench smoke (alloc gate)
 #   scripts/verify.sh --stream     # tier-1 gate + streaming soak smoke
@@ -15,13 +15,19 @@
 # must come back as a typed Ok/Degraded/Failed outcome — a panic or a
 # sim-layer error fails the gate.
 #
+# The default gate also builds the repository benchmark (perfbench/, a
+# workspace of its own that calls the public session API), so an API
+# change that breaks the benchmark fails here rather than at run time.
+#
 # The --bench tier smoke-runs the DSP kernel and batch-session bench
 # suites with a minimal sample budget. Timings on a shared machine are
 # noise at this budget, but the suites' counting allocator makes them a
 # *steady-state allocation* gate: any bench registered as
 # allocation-free that allocates per iteration panics in
 # `Suite::finish`, failing this script. On hosts with >= 4 CPUs the
-# batch suite additionally asserts > 1.3x multi-thread speedup.
+# batch suite additionally asserts > 1.3x multi-thread speedup. The
+# tier ends with perfbench's --self-test, which must report 0
+# mismatched outputs on every workload in both modes.
 #
 # The --stream tier runs a short deterministic soak (a small phone
 # fleet through the StreamService) and greps the `stream-contract:`
@@ -48,8 +54,9 @@
 # zero-allocation gate. It then smoke-runs the multibeacon bench, whose
 # banked K=4 detector must (a) produce the same arrivals as 4
 # independent detectors and (b) on hosts with >= 2 CPUs beat them by
-# >= 1.8x (on one shared CPU the ratio is still printed but not
-# asserted — timings there swing too much to gate on).
+# >= 1.15x (on one shared CPU the ratio is still printed but not
+# asserted — timings there swing too much to gate on; the floor is
+# derived next to the check).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -73,6 +80,9 @@ done
 
 echo "== cargo build --release =="
 cargo build --release
+
+echo "== cargo build --release (perfbench) =="
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "== cargo test -q (root package) =="
 cargo test -q
@@ -139,6 +149,17 @@ if [ "$RUN_BENCH" -eq 1 ]; then
     # front-ends), and warm streaming cycles must allocate nothing.
     echo "== allocation gates (batch, array, stream) =="
     cargo test -p hyperear --test alloc_batch --test alloc_array --test alloc_stream -q
+
+    # The repository benchmark's short mode: both workloads, untraced
+    # and traced. It exits non-zero on a mismatched output; the grep
+    # additionally requires each of the four report lines to say so.
+    echo "== perfbench self-test (0 mismatches) =="
+    OUT="$(cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- --self-test)"
+    echo "$OUT"
+    if [ "$(grep -c '"failed": 0,' <<<"$OUT")" -lt 4 ]; then
+        echo "BENCH TIER FAILED: perfbench self-test reported mismatched outputs" >&2
+        exit 1
+    fi
 fi
 
 if [ "$RUN_STREAM" -eq 1 ]; then
@@ -210,7 +231,23 @@ if [ "$RUN_MULTIBEACON" -eq 1 ]; then
     # Bench smoke: the banked K=4 detector vs 4 independent detectors.
     # The bench binary itself asserts arrival equivalence and the
     # allocation gate; the speedup assertion is nproc-gated because a
-    # single shared CPU swings timings beyond the 1.8x margin.
+    # single shared CPU swings timings beyond the margin below.
+    #
+    # The floor, from the folded cost model: every detector folds its
+    # band-pass, so per overlap-save block a solo pays 2 transforms
+    # (forward + inverse) and the bank 1 + K for K beacons. Were
+    # transforms all the work, the ceiling would be 2K/(1+K) = 1.6x at
+    # K=4. With a share f of solo time in transforms and the rest
+    # (conjugate-MAC, normalization, peak picking) paid alike on both
+    # sides, the speedup is 1 / ((1 - f) + f(1+K)/(2K)). Measured on a
+    # 2-CPU host (16 runs): median 1.40x (f ~ 0.76), low tail 1.27x,
+    # 1.36-1.48x in the common case; rare high outliers (1.84x, 2.15x)
+    # come from a fast bank sample. The gate asks that at least half of
+    # the modelled saving shows (f/2 ~ 0.38 -> 1.17x), rounded down to
+    # 1.15x: 9% under the lowest run seen, and above 1.0x, so a bank
+    # that loses its shared forward transform (ratio ~1.0x) or runs
+    # slower than the solos still fails. It was 1.8x when the solos ran
+    # band-pass and matched filter as two passes (4 transforms a block).
     echo "== bench smoke (multibeacon, K=4 bank vs independent) =="
     OUT="$(HYPEREAR_BENCH_SAMPLES=5 HYPEREAR_BENCH_SAMPLE_MS=20 HYPEREAR_BENCH_WARMUP_MS=50 \
         cargo bench -p hyperear-bench --bench multibeacon)"
@@ -222,11 +259,11 @@ if [ "$RUN_MULTIBEACON" -eq 1 ]; then
     SPEEDUP="$(grep -o 'multibeacon_speedup_x [0-9.]*' <<<"$OUT" | awk '{print $2}')"
     NPROC="$( (command -v nproc >/dev/null 2>&1 && nproc) || echo 1 )"
     if [ "$NPROC" -ge 2 ]; then
-        if ! awk -v s="$SPEEDUP" 'BEGIN{exit !(s >= 1.8)}'; then
-            echo "MULTIBEACON TIER FAILED: bank speedup ${SPEEDUP}x < 1.8x over 4 independent detectors" >&2
+        if ! awk -v s="$SPEEDUP" 'BEGIN{exit !(s >= 1.15)}'; then
+            echo "MULTIBEACON TIER FAILED: bank speedup ${SPEEDUP}x < 1.15x over 4 independent detectors" >&2
             exit 1
         fi
-        echo "bank speedup ${SPEEDUP}x >= 1.8x over 4 independent detectors"
+        echo "bank speedup ${SPEEDUP}x >= 1.15x over 4 independent detectors"
     else
         echo "host has ${NPROC} CPU(s) < 2; bank speedup ${SPEEDUP}x reported, not asserted"
     fi

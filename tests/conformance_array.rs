@@ -62,8 +62,9 @@ fn array_input<'a>(rec: &'a Recording, channels: &'a [&'a [f64]; 2]) -> ArraySes
     }
 }
 
-/// One-shot engines: `run_array_monitored` on the two-mic compatibility
-/// preset is the stereo `run_monitored`, outcome and diagnostics alike.
+/// One-shot engines: `run_monitored` on a two-mic compatibility-preset
+/// `ArraySessionInput` is the stereo `run_monitored`, outcome and
+/// diagnostics alike.
 #[test]
 fn two_mic_array_sessions_match_stereo_bit_for_bit() {
     let config = HyperEarConfig::galaxy_s4();
@@ -76,7 +77,7 @@ fn two_mic_array_sessions_match_stereo_bit_for_bit() {
         let chans: [&[f64]; 2] = [&rec.audio.left, &rec.audio.right];
         let array = SessionEngine::new(config.clone())
             .unwrap()
-            .run_array_monitored(&array_input(rec, &chans));
+            .run_monitored(&array_input(rec, &chans));
         assert_eq!(array, stereo);
         assert_eq!(array.diagnostics(), stereo.diagnostics());
         let result = array.result().expect("usable outcome");
@@ -113,8 +114,8 @@ fn two_mic_array_batches_match_stereo_at_any_thread_count() {
         let stereo_out = stereo.run_batch(&stereo_inputs);
 
         let mut arrays = BatchEngine::new(config.clone(), pool).unwrap();
-        arrays.warm_arrays(&array_inputs);
-        let array_out = arrays.run_array_batch(&array_inputs);
+        arrays.warm(&array_inputs);
+        let array_out = arrays.run_batch(&array_inputs);
 
         assert!(array_out.iter().all(SessionOutcome::is_usable));
         assert_eq!(

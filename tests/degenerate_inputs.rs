@@ -526,7 +526,7 @@ fn degenerate_array_inputs_are_typed_or_soft() {
         gyro: &rec.imu.gyro,
     };
     assert!(matches!(
-        engine.run_array(&base),
+        engine.run(&base),
         Err(HyperEarError::InvalidParameter { .. })
     ));
 
@@ -548,7 +548,7 @@ fn degenerate_array_inputs_are_typed_or_soft() {
     let mut ragged_input = base;
     ragged_input.channels = &ragged;
     assert!(matches!(
-        tri_engine.run_array(&ragged_input),
+        tri_engine.run(&ragged_input),
         Err(HyperEarError::InvalidParameter { .. })
     ));
 
@@ -563,7 +563,7 @@ fn degenerate_array_inputs_are_typed_or_soft() {
     ];
     let mut muted_input = base;
     muted_input.channels = &muted;
-    let outcome = tri_engine.run_array_monitored(&muted_input);
+    let outcome = tri_engine.run_monitored(&muted_input);
     let result = outcome.result().expect("session survives a dead channel");
     assert!(result.bearing.is_none(), "no prior from starved front-end");
     assert!(result.pair_delays.is_empty());
